@@ -1,8 +1,8 @@
 """Micro-benchmarks of the linear-analyzer kernels behind the ≥5× speedup.
 
 ``bench_columnar_core.py`` gates the end-to-end ``linear_default`` speedup;
-this driver isolates the three layers that produce it and pins each one's
-bit-equality claim:
+this driver isolates the layers that produce it and pins each one's
+accuracy claim:
 
 * **batched LP kernel** — bounding many linear objectives over one polytope
   through the prepared HiGHS model (:class:`repro.polytope.BatchPolytope`)
@@ -16,13 +16,17 @@ bit-equality claim:
   enjoy;
 * **whole-array density liftings** — the vectorised ``uniform_pdf`` /
   ``beta_pdf`` / ``normal_pdf`` cell kernels vs the generic per-cell
-  interval lifting, asserted bit-identical cell by cell.
+  interval lifting, asserted bit-identical cell by cell;
+* **volume kernel** — :meth:`Polytope.volume_bounds` (pulling
+  triangulation) on every distinct polytope the geometry-cache layer met,
+  against a non-joggled Qhull hull (``Qt``) of the same vertices.  Every
+  volume must be a point agreeing with the hull to 1e-12 relative.
 
 Acceptance gates (full fidelity only): the batched LP sweep is **≥ 5×**
 faster than the ``linprog`` loop, the shared geometry cache scores hits on
 the reference workload, and the lifting table covers ``uniform_pdf`` and
-``beta_pdf`` (the bit-equality assertions run in tiny mode too — they are
-the CI smoke gate).
+``beta_pdf`` (the bit-equality and volume-agreement assertions run in tiny
+mode too — they are the CI smoke gate).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import time
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from repro.analysis import AnalysisOptions
 from repro.analysis.linear_analyzer import (
@@ -43,6 +48,7 @@ from repro.analysis.vectorize import _ARRAY_LIFTINGS, ScalarFallback
 from repro.intervals import Interval, get_primitive
 from repro.models import pedestrian_program
 from repro.polytope import BatchPolytope, Polytope, kernel_available
+from repro.polytope.polytope import _triangulated_volume
 from repro.symbolic import symbolic_paths
 from repro.symbolic.execute import ExecutionLimits
 
@@ -142,7 +148,7 @@ def _lp_section(rng, records: dict, lines: list[str]) -> None:
 # Layer 2: shared geometry cache vs fresh cache per path
 # ----------------------------------------------------------------------
 
-def _cache_section(records: dict, lines: list[str]) -> None:
+def _cache_section(records: dict, lines: list[str]) -> GeometryCache:
     limits = ExecutionLimits(max_fixpoint_depth=scaled(5, 3))
     paths = [
         path
@@ -182,6 +188,7 @@ def _cache_section(records: dict, lines: list[str]) -> None:
         f"volume hits {stats['volume_hits']}/{volume_lookups} "
         f"({records['geometry_cache']['volume_hit_rate']:.1%}), bounds identical"
     )
+    return shared
 
 
 # ----------------------------------------------------------------------
@@ -255,14 +262,92 @@ def _density_section(rng, records: dict, lines: list[str]) -> None:
         )
 
 
+# ----------------------------------------------------------------------
+# Layer 4: triangulated volumes vs a non-joggled Qhull hull
+# ----------------------------------------------------------------------
+
+#: Relative agreement the pulling triangulation must reach against ``Qt``.
+_VOLUME_RTOL = 1e-12
+
+
+def _cached_polytopes(cache: GeometryCache) -> list[Polytope]:
+    """The distinct polytopes behind ``cache.volumes`` (keys are exact
+    ``(A.tobytes(), b.tobytes())``, see :meth:`Polytope.cache_key`)."""
+    polytopes = []
+    for a_bytes, b_bytes in cache.volumes:
+        b = np.frombuffer(b_bytes, dtype=np.float64)
+        a = np.frombuffer(a_bytes, dtype=np.float64).reshape(len(b), -1)
+        polytopes.append(Polytope(a.copy(), b.copy()))
+    return polytopes
+
+
+def _volume_section(cache: GeometryCache, records: dict, lines: list[str]) -> None:
+    polytopes = _cached_polytopes(cache)
+
+    start = time.perf_counter()
+    volumes = [polytope.volume_bounds() for polytope in polytopes]
+    volume_seconds = time.perf_counter() - start
+    fallbacks = sum(not volume.is_point for volume in volumes)
+    assert fallbacks == 0, f"{fallbacks} volumes fell back to bounding boxes"
+
+    # The replaced step in isolation: the same vertex sets through the
+    # pulling triangulation and through a Qt hull.
+    cases = [
+        (polytope, polytope.vertices(), volume.lo)
+        for polytope, volume in zip(polytopes, volumes)
+        if volume.lo > 0.0 and polytope.dimension > 1
+    ]
+    start = time.perf_counter()
+    for polytope, vertices, _ in cases:
+        _triangulated_volume(polytope.a, polytope.b, vertices)
+    triangulation_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    references = []
+    for _, vertices, _ in cases:
+        try:
+            references.append(float(ConvexHull(vertices, qhull_options="Qt").volume))
+        except (QhullError, ValueError):
+            references.append(None)
+    hull_seconds = time.perf_counter() - start
+
+    errors = [
+        abs(volume - reference) / reference
+        for (_, _, volume), reference in zip(cases, references)
+        if reference is not None
+    ]
+    worst = max(errors, default=0.0)
+    assert errors, "no volume could be compared against the Qt hull"
+    assert worst <= _VOLUME_RTOL, (
+        f"triangulated volume differs from the Qt hull by {worst:.2e} relative"
+    )
+    records["volume_kernel"] = {
+        "polytopes": len(polytopes),
+        "compared": len(errors),
+        "max_dimension": max(polytope.dimension for polytope in polytopes),
+        "fallbacks": fallbacks,
+        "max_relative_error": worst,
+        "volume_bounds_seconds": volume_seconds,
+        "triangulation_seconds": triangulation_seconds,
+        "qt_hull_seconds": hull_seconds,
+    }
+    lines.append(
+        f"volume kernel: {len(polytopes)} polytopes, volume_bounds {volume_seconds:.3f}s; "
+        f"triangulation step {triangulation_seconds:.3f}s vs Qt hull {hull_seconds:.3f}s "
+        f"on {len(cases)} vertex sets; max relative error {worst:.1e} over "
+        f"{len(errors)} compared, {fallbacks} fallbacks"
+    )
+
+
 def test_linear_kernels(bench_once, rng):
     records: dict = {}
     lines: list[str] = []
 
     def run_all():
         _lp_section(rng, records, lines)
-        _cache_section(records, lines)
+        cache = _cache_section(records, lines)
         _density_section(rng, records, lines)
+        _volume_section(cache, records, lines)
 
     bench_once(run_all)
     emit("linear_kernels", lines, data=records)

@@ -282,6 +282,9 @@ class GeometryCache:
 
     ``volume_hits`` / ``volume_misses`` (and the aggregate ``hits`` /
     ``misses``) feed the perf benchmarks; they have no semantic role.
+    ``volume_fallbacks`` counts the misses whose volume is not a point
+    interval — polytopes where :meth:`Polytope.volume_bounds` fell back to
+    its ``[0, bounding box]`` bounds — so that loss of precision is visible.
     """
 
     __slots__ = (
@@ -291,6 +294,7 @@ class GeometryCache:
         "programs",
         "volume_hits",
         "volume_misses",
+        "volume_fallbacks",
         "hits",
         "misses",
     )
@@ -302,6 +306,7 @@ class GeometryCache:
         self.programs: Dict[int, tuple] = {}
         self.volume_hits = 0
         self.volume_misses = 0
+        self.volume_fallbacks = 0
         self.hits = 0
         self.misses = 0
 
@@ -311,8 +316,7 @@ class GeometryCache:
         value = self.volumes.get(key)
         if value is None:
             self.misses += 1
-            self.volume_misses += 1
-            value = self.volumes[key] = polytope.volume_bounds()
+            value = self.volumes[key] = self._volume_miss(polytope)
         else:
             self.hits += 1
             self.volume_hits += 1
@@ -337,12 +341,18 @@ class GeometryCache:
         value = self.volumes.get(key)
         if value is None:
             self.misses += 1
-            self.volume_misses += 1
             restricted = base.add_constraints(rows, rhs) if len(rows) else base
-            value = self.volumes[key] = restricted.volume_bounds()
+            value = self.volumes[key] = self._volume_miss(restricted)
         else:
             self.hits += 1
             self.volume_hits += 1
+        return value
+
+    def _volume_miss(self, polytope: Polytope) -> Interval:
+        self.volume_misses += 1
+        value = polytope.volume_bounds()
+        if not value.is_point:
+            self.volume_fallbacks += 1
         return value
 
     def is_empty(self, polytope: Polytope) -> bool:
@@ -398,6 +408,7 @@ class GeometryCache:
             "misses": self.misses,
             "volume_hits": self.volume_hits,
             "volume_misses": self.volume_misses,
+            "volume_fallbacks": self.volume_fallbacks,
             "unique_volumes": len(self.volumes),
             "unique_emptiness": len(self.emptiness),
             "unique_atom_sweeps": len(self.atom_bounds),

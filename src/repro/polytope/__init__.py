@@ -4,14 +4,11 @@ from .batch import BatchPolytope
 from .highs import kernel_available
 from .linear_bounds import bound_form, form_rows
 from .polytope import Polytope, PolytopeError
-from .vertex_enum import enumerate_vertices, volume_by_enumeration
 
 __all__ = [
     "BatchPolytope",
     "Polytope",
     "PolytopeError",
-    "enumerate_vertices",
-    "volume_by_enumeration",
     "bound_form",
     "form_rows",
     "kernel_available",

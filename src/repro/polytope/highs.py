@@ -35,7 +35,6 @@ import threading
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csc_array
 
 try:  # the binding is private to scipy; degrade gracefully if it moves
     import scipy.optimize._highspy._core as _core
@@ -83,6 +82,21 @@ def _highs_instance():
     return highs
 
 
+def _csc_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of dense ``a`` in compressed sparse columns.
+
+    The same arrays (values and int32 index dtype) ``scipy.sparse.csc_array(a)``
+    builds, without its construction overhead: column-major nonzeros, row
+    indices ascending within each column.
+    """
+    columns = a.T
+    nonzero = columns != 0
+    indptr = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(nonzero)[1].astype(np.int32)
+    return indptr, indices, columns[nonzero]
+
+
 class PreparedLP:
     """A constraint system ``A x ≤ b`` loaded once, solved for many costs.
 
@@ -106,7 +120,7 @@ class PreparedLP:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.asarray(b, dtype=np.float64).reshape(-1)
         rows, cols = a.shape
-        sparse = csc_array(a)
+        indptr, indices, data = _csc_arrays(a)
         lp = _core.HighsLp()
         lp.num_col_ = cols
         lp.num_row_ = rows
@@ -124,9 +138,9 @@ class PreparedLP:
         )
         lp.row_lower_ = np.full(rows, -np.inf)
         lp.row_upper_ = b
-        lp.a_matrix_.start_ = sparse.indptr
-        lp.a_matrix_.index_ = sparse.indices
-        lp.a_matrix_.value_ = sparse.data
+        lp.a_matrix_.start_ = indptr
+        lp.a_matrix_.index_ = indices
+        lp.a_matrix_.value_ = data
         self._lp = lp
         self.dimension = cols
 

@@ -4,12 +4,23 @@ The linear interval trace semantics (paper Section 6.4) reduces path
 denotations to integrals over convex polytopes ``{α : A α ≤ b}``.  GuBPI uses
 the external tools Vinci/LattE for exact volume computation and an LP solver
 for bounding linear forms; this module provides both from scratch on top of
-``scipy`` (with a pure-Python fallback for vertex enumeration):
+``scipy``:
 
 * feasibility and Chebyshev centre via linear programming,
 * exact bounds on a linear function over the polytope (:meth:`Polytope.bound_linear`),
-* exact volume via halfspace intersection + convex hull, with sound
-  ``[0, box volume]`` fallback bounds when the geometry degenerates.
+* exact volume (:meth:`Polytope.volume_bounds`) in four steps: a Chebyshev
+  LP (an interior point, and a zero volume for flat or empty polytopes),
+  Qhull halfspace intersection for the vertices, a *pulling triangulation*
+  built from the vertex/constraint incidence, and a sum of simplex
+  determinants.  The triangulation follows Büeler, Enge and Fukuda, "Exact
+  volume computation for polytopes: a practical study" (2000): each face is
+  coned from its lowest-index vertex over the facets that miss that vertex,
+  so the volume is exact up to float rounding on the Qhull vertices.
+
+Every volume is guarded: the result must lie between the inscribed-ball
+volume and the vertex bounding-box volume, or the polytope falls back to the
+sound ``[0, box volume]`` bounds.  A triangulation that outgrows its simplex
+budget takes a (non-joggled) Qhull convex hull instead.
 
 All LPs run on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`)
 when its binding is available: each polytope lazily prepares its constraint
@@ -27,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
 from ..intervals import Interval
 from . import highs as _highs
@@ -35,6 +46,21 @@ from . import highs as _highs
 __all__ = ["Polytope", "PolytopeError"]
 
 _FEASIBILITY_TOL = 1e-9
+
+#: Relative slack of the vertex/constraint incidence test (per unit-norm row).
+_INCIDENCE_TOL = 1e-9
+
+#: Simplices a pulling triangulation may produce before the volume takes the
+#: Qhull hull instead.  A 7-cube needs 5040, and the largest triangulation
+#: the test suite and benchmarks build has about 15k simplices.
+_SIMPLEX_BUDGET = 100_000
+
+#: Simplices per batched determinant block (bounds the temporary arrays).
+_DET_BLOCK = 4096
+
+#: Rounding slack of the bounding-box sanity check (a box's triangulated
+#: volume may exceed its side-length product by a few ulps).
+_VOLUME_SLACK = 1e-9
 
 
 class PolytopeError(Exception):
@@ -263,10 +289,14 @@ class Polytope:
     def volume_bounds(self) -> Interval:
         """Sound bounds on the Lebesgue volume.
 
-        The result is a point interval (the exact volume) in the regular case;
-        when the polytope is lower-dimensional the volume is exactly 0; when
-        Qhull fails on a genuinely full-dimensional polytope the fallback is
-        ``[0, volume of the bounding box]``, which keeps every downstream
+        The pipeline is Chebyshev LP → Qhull halfspace intersection →
+        pulling triangulation of the vertices → sum of ``|det| / d!`` over
+        the simplices (:func:`_triangulated_volume`).  The result is a point
+        interval (the volume, exact up to float rounding) in the regular
+        case, and exactly 0 when the polytope is empty or lower-dimensional.
+        The point volume must lie between the inscribed-ball volume and the
+        vertex bounding-box volume; when that check or Qhull fails the result
+        is ``[0, volume of the bounding box]``, which keeps every downstream
         bound sound (just less precise).
         """
         if self.dimension == 0:
@@ -286,11 +316,19 @@ class Polytope:
         vertices = self.vertices(center_radius)
         if vertices is None or len(vertices) <= self.dimension:
             return Interval(0.0, self._bounding_box_volume())
+        dimension = self.dimension
         try:
-            hull = ConvexHull(vertices, qhull_options="QJ")
-            return Interval.point(float(hull.volume))
-        except (QhullError, ValueError):
-            return Interval(0.0, self._bounding_box_volume())
+            volume = _triangulated_volume(self.a, self.b, vertices)
+        except _SimplexBudgetExceeded:
+            try:
+                volume = float(ConvexHull(vertices, qhull_options="Qt").volume)
+            except (QhullError, ValueError):
+                volume = math.nan
+        ball = math.pi ** (dimension / 2) / math.gamma(dimension / 2 + 1) * radius**dimension
+        box = float(np.prod(vertices.max(axis=0) - vertices.min(axis=0)))
+        if ball <= volume <= box * (1.0 + _VOLUME_SLACK):
+            return Interval.point(volume)
+        return Interval(0.0, self._bounding_box_volume())
 
     def volume(self) -> float:
         """The exact volume when available, otherwise the sound upper bound."""
@@ -308,3 +346,146 @@ class Polytope:
                 return math.inf
             volume *= bound.width
         return volume
+
+
+# ----------------------------------------------------------------------
+# Pulling triangulation
+# ----------------------------------------------------------------------
+
+class _SimplexBudgetExceeded(Exception):
+    """A pulling triangulation outgrew :data:`_SIMPLEX_BUDGET`."""
+
+
+def _triangulated_volume(a: np.ndarray, b: np.ndarray, vertices: np.ndarray) -> float:
+    """Volume of ``conv(vertices)`` from a pulling triangulation.
+
+    ``vertices`` are the (possibly repeated) vertices of the
+    full-dimensional polytope ``{x : a x ≤ b}``.  Returns ``nan`` when the
+    incidence structure is inconsistent (the caller's sanity check then
+    rejects it) and raises :class:`_SimplexBudgetExceeded` past the simplex
+    budget.
+    """
+    dimension = vertices.shape[1]
+    vertices = _distinct_vertices(vertices)
+    try:
+        simplices = _pulling_triangulation(_incidence_masks(a, b, vertices), len(vertices), dimension)
+    except _DegenerateFace:
+        return math.nan
+    total = []
+    for start in range(0, len(simplices), _DET_BLOCK):
+        block = simplices[start:start + _DET_BLOCK]
+        apex = vertices[block[:, 0]]
+        edges = vertices[block[:, 1:]] - apex[:, None, :]
+        total.extend(np.abs(np.linalg.det(edges)).tolist())
+    return math.fsum(total) / math.factorial(dimension)
+
+
+def _distinct_vertices(vertices: np.ndarray) -> np.ndarray:
+    """``vertices`` without near-duplicates.
+
+    Qhull's halfspace intersection reports a vertex that lies on more than
+    ``d`` facets once per dual facet, so a degenerate vertex can come back
+    several times (seen on the pedestrian chunk polytopes).
+    """
+    scale = _INCIDENCE_TOL * max(1.0, float(np.abs(vertices).max()))
+    pairs = cKDTree(vertices).query_pairs(scale, p=np.inf, output_type="ndarray")
+    if len(pairs) == 0:
+        return vertices
+    keep = np.ones(len(vertices), dtype=bool)
+    keep[pairs.max(axis=1)] = False
+    return vertices[keep]
+
+
+def _incidence_masks(a: np.ndarray, b: np.ndarray, vertices: np.ndarray) -> list[int]:
+    """Per constraint, the bitmask of the vertices lying on its hyperplane.
+
+    Vertex ``j`` lies on (unit-normalised) constraint ``i`` when
+    ``a_i·v_j − b_i ≥ −tol·max(1, |b_i|)``.  Constraints touching no vertex
+    are dropped.
+    """
+    norms = np.linalg.norm(a, axis=1)
+    live = norms > 0.0
+    a = a[live] / norms[live, None]
+    b = b[live] / norms[live]
+    slack = a @ vertices.T - b[:, None]
+    on = slack >= -_INCIDENCE_TOL * np.maximum(1.0, np.abs(b))[:, None]
+    weights = [1 << j for j in range(len(vertices))]
+    masks = []
+    for row in on:
+        mask = sum(weights[j] for j in np.flatnonzero(row).tolist())
+        if mask:
+            masks.append(mask)
+    return masks
+
+
+class _DegenerateFace(Exception):
+    """The incidence masks do not describe a face lattice."""
+
+
+def _pulling_triangulation(masks: list[int], count: int, dimension: int) -> np.ndarray:
+    """Simplices (rows of ``dimension + 1`` vertex indices) triangulating the polytope.
+
+    Faces are vertex bitmasks.  The facets of a face ``F`` are the
+    inclusion-maximal sets among ``{F & mask_i} \\ {0, F}``; each face is
+    triangulated by coning its lowest-index vertex over the triangulations
+    of the facets that miss it, down to simplicial faces.  Triangulations
+    (and so the facet lists) are memoised per face: a face always pulls the
+    same vertex, so the triangulations it induces on shared faces agree.
+    """
+    simplices = _triangulate((1 << count) - 1, dimension, masks, {})
+    flat = np.fromiter(itertools.chain.from_iterable(simplices), dtype=np.intp)
+    return flat.reshape(len(simplices), dimension + 1)
+
+
+def _triangulate(
+    face: int, dimension: int, masks: list[int], memo: dict[int, list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """The pulling triangulation of ``face`` (of the given dimension), memoised."""
+    simplices = memo.get(face)
+    if simplices is not None:
+        return simplices
+    size = face.bit_count()
+    if size == dimension + 1:
+        simplex = []
+        rest = face
+        while rest:
+            low = rest & -rest
+            simplex.append(low.bit_length() - 1)
+            rest ^= low
+        simplices = [tuple(simplex)]
+    elif size <= dimension or dimension == 0:
+        raise _DegenerateFace
+    else:
+        apex_bit = face & -face
+        apex = (apex_bit.bit_length() - 1,)
+        simplices = [
+            apex + simplex
+            for facet in _facets_missing(face, dimension, apex_bit, masks)
+            for simplex in _triangulate(facet, dimension - 1, masks, memo)
+        ]
+        if not simplices:
+            raise _DegenerateFace
+        if len(simplices) > _SIMPLEX_BUDGET:
+            raise _SimplexBudgetExceeded
+    memo[face] = simplices
+    return simplices
+
+
+def _facets_missing(face: int, dimension: int, apex_bit: int, masks: list[int]) -> list[int]:
+    """The facets of ``face`` (of the given dimension) that miss ``apex_bit``.
+
+    Every proper face that misses the apex lies in a facet that misses it
+    too (a face is the meet of the facets containing it), so maximality only
+    needs testing among the apex-free candidates.  A facet of a k-face also
+    spans k vertices at least.
+    """
+    candidates = {face & mask for mask in masks}
+    found: list[int] = []
+    for candidate in sorted(
+        (c for c in candidates if not c & apex_bit and c.bit_count() >= dimension),
+        key=int.bit_count,
+        reverse=True,
+    ):
+        if not any(candidate & kept == candidate for kept in found):
+            found.append(candidate)
+    return found

@@ -1,24 +1,29 @@
-"""Brute-force vertex enumeration and simplex-decomposition volume.
+"""Brute-force reference implementations the test suite checks against.
 
-This is the pure-Python fallback / oracle for :class:`repro.polytope.Polytope`:
-it enumerates all vertices of ``{x : A x ≤ b}`` by intersecting every choice of
-``n`` constraint hyperplanes and keeping the feasible intersection points.
-The cost is ``O(C(m, n) · n³)``, which is fine for the small path polytopes
-used in tests but is not the production path (Qhull is).
+Nothing in ``src/`` calls these; they are deliberately simple (and slow) so
+that a disagreement points at the production code.
+
+* :func:`enumerate_vertices` finds every vertex of ``{x : A x ≤ b}`` by
+  intersecting each choice of ``n`` constraint hyperplanes and keeping the
+  feasible intersection points — ``O(C(m, n) · n³)``, fine for the small
+  polytopes of the tests.
+* :func:`hull_volume` is the volume of a vertex set's convex hull from a
+  non-joggled Qhull hull (``Qt``), independent of the production pulling
+  triangulation.
+* :func:`volume_by_enumeration` chains the two.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .polytope import Polytope
+from repro.polytope import Polytope
 
-__all__ = ["enumerate_vertices", "volume_by_enumeration"]
+__all__ = ["enumerate_vertices", "hull_volume", "volume_by_enumeration"]
 
 
 def enumerate_vertices(polytope: Polytope, tolerance: float = 1e-9) -> np.ndarray:
@@ -43,8 +48,16 @@ def enumerate_vertices(polytope: Polytope, tolerance: float = 1e-9) -> np.ndarra
     return np.vstack(vertices)
 
 
+def hull_volume(vertices: np.ndarray) -> Optional[float]:
+    """Volume of ``conv(vertices)`` from a ``Qt`` Qhull hull (``None`` on failure)."""
+    try:
+        return float(ConvexHull(vertices, qhull_options="Qt").volume)
+    except (QhullError, ValueError):
+        return None
+
+
 def volume_by_enumeration(polytope: Polytope) -> Optional[float]:
-    """Exact volume via brute-force vertex enumeration (``None`` on failure)."""
+    """Volume via brute-force vertex enumeration (``None`` on failure)."""
     dimension = polytope.dimension
     vertices = enumerate_vertices(polytope)
     if len(vertices) == 0:
@@ -53,8 +66,4 @@ def volume_by_enumeration(polytope: Polytope) -> Optional[float]:
         return float(vertices.max() - vertices.min())
     if len(vertices) <= dimension:
         return 0.0
-    try:
-        hull = ConvexHull(vertices, qhull_options="QJ")
-    except (QhullError, ValueError):
-        return None
-    return float(hull.volume)
+    return hull_volume(vertices)

@@ -25,6 +25,11 @@ import pathlib
 import pytest
 
 from repro.analysis import AnalysisOptions, Model
+from repro.analysis.linear_analyzer import (
+    GeometryCache,
+    analyze_path_linear,
+    linear_analysis_applicable,
+)
 from repro.intervals import Interval
 from repro.models import binary_gmm_program, cav_example_7
 from repro.models.pedestrian import pedestrian_program
@@ -168,3 +173,20 @@ def test_parallel_engine_matches_golden(name):
     for current, pinned in zip(bounds, golden["denotation_bounds"]):
         assert current.lower == pytest.approx(pinned["lower"], rel=_RTOL, abs=1e-15)
         assert current.upper == pytest.approx(pinned["upper"], rel=_RTOL, abs=1e-15)
+
+
+def test_pedestrian_volumes_never_fall_back():
+    """Every chunk volume of the pedestrian scenario is a point interval.
+
+    A ``[0, bounding box]`` volume fallback keeps a bound sound but loosens
+    it; ``GeometryCache.stats()["volume_fallbacks"]`` makes it observable.
+    """
+    scenario = _SCENARIOS["pedestrian_depth4"]
+    model = scenario["build"]()
+    geometry = GeometryCache()
+    for path in model.compile().execution.paths:
+        if linear_analysis_applicable(path):
+            analyze_path_linear(path, scenario["targets"], model.options, geometry)
+    stats = geometry.stats()
+    assert stats["volume_misses"] > 0
+    assert stats["volume_fallbacks"] == 0

@@ -171,6 +171,32 @@ class TestPreparedKernelMatchesLinprog:
             assert bound is not None
             assert (bound.lo, bound.hi) == (lo, hi)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=24),
+        cols=st.integers(min_value=1, max_value=8),
+        zero_share=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_csc_arrays_match_scipy(self, rows, cols, zero_share, seed):
+        """The NumPy CSC build hands HiGHS exactly ``csc_array(a)``'s arrays."""
+        from scipy.sparse import csc_array
+
+        from repro.polytope.highs import _csc_arrays
+
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, cols))
+        a[rng.random(a.shape) < zero_share] = 0.0
+        reference = csc_array(a)
+        indptr, indices, data = _csc_arrays(a)
+        for got, want in (
+            (indptr, reference.indptr),
+            (indices, reference.indices),
+            (data, reference.data),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 # -- density liftings ---------------------------------------------------
 

@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import enumerate_vertices, hull_volume, volume_by_enumeration
 from repro.intervals import Interval
-from repro.polytope import (
-    Polytope,
-    PolytopeError,
-    bound_form,
-    enumerate_vertices,
-    form_rows,
-    volume_by_enumeration,
-)
+from repro.polytope import Polytope, PolytopeError, bound_form, form_rows
 from repro.symbolic import LinearForm
 
 
@@ -93,7 +88,7 @@ class TestVolumes:
     def test_simplex_volume(self, dimension):
         simplex = unit_cube(dimension).add_constraints([[1.0] * dimension], [1.0])
         expected = 1.0 / math.factorial(dimension)
-        assert simplex.volume_bounds().lo == pytest.approx(expected, rel=1e-6)
+        assert simplex.volume_bounds().lo == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_halfspace_cut_volume(self):
         half = unit_cube(2).add_constraints([[1.0, -1.0]], [0.0])  # x <= y
@@ -124,9 +119,9 @@ class TestVolumes:
         polytope = cube.add_constraints(rows.tolist(), rhs.tolist())
         fast = polytope.volume_bounds()
         slow = volume_by_enumeration(polytope)
-        if slow is None:
-            pytest.skip("brute-force enumeration failed (degenerate hull)")
-        assert fast.lo == pytest.approx(slow, abs=1e-6)
+        assume(slow is not None)  # the oracle's Qhull hull failed
+        assert fast.is_point
+        assert fast.lo == pytest.approx(slow, rel=1e-12, abs=0.0)
 
     def test_monte_carlo_volume_agreement(self):
         rng = np.random.default_rng(42)
@@ -134,6 +129,96 @@ class TestVolumes:
         points = rng.random((200_000, 3))
         inside = np.mean(np.all(points @ polytope.a[6:].T <= polytope.b[6:], axis=1))
         assert polytope.volume_bounds().lo == pytest.approx(float(inside), abs=0.01)
+
+
+class TestClosedFormVolumes:
+    """Volumes known in closed form, matched to 1e-12 relative.
+
+    A joggled (``QJ``) hull misses these by up to ~1e-6 relative; the pulling
+    triangulation is exact up to float rounding.
+    """
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 5, 6, 7])
+    def test_random_boxes(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for _ in range(10):
+            lower = rng.uniform(-3.0, 3.0, size=dimension)
+            sides = rng.uniform(0.05, 4.0, size=dimension)
+            box = Polytope.from_box(
+                [Interval(lo, lo + side) for lo, side in zip(lower, sides)]
+            )
+            volume = box.volume_bounds()
+            assert volume.is_point
+            assert volume.lo == pytest.approx(math.prod(sides), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 5, 6, 7])
+    def test_scaled_simplices(self, dimension):
+        """``{x ≥ 0, Σ x_i / s_i ≤ 1}`` has volume ``∏ s_i / d!``."""
+        rng = np.random.default_rng(100 + dimension)
+        scales = rng.uniform(0.2, 5.0, size=dimension)
+        rows = np.vstack([-np.eye(dimension), 1.0 / scales])
+        rhs = np.concatenate([np.zeros(dimension), [1.0]])
+        volume = Polytope(rows, rhs).volume_bounds()
+        assert volume.is_point
+        expected = math.prod(scales) / math.factorial(dimension)
+        assert volume.lo == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 5, 6, 7])
+    def test_cross_polytopes(self, dimension):
+        """``{x : Σ |x_i| ≤ 1}`` has volume ``2^d / d!``."""
+        rows = np.array(list(itertools.product([1.0, -1.0], repeat=dimension)))
+        volume = Polytope(rows, np.ones(len(rows))).volume_bounds()
+        assert volume.is_point
+        expected = 2.0**dimension / math.factorial(dimension)
+        assert volume.lo == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 5, 6, 7])
+    def test_cube_cut_in_half(self, dimension):
+        """``[0, 1]^d ∩ {Σ x ≤ d/2}`` is half the cube by point symmetry."""
+        half = unit_cube(dimension).add_constraints([[1.0] * dimension], [dimension / 2])
+        volume = half.volume_bounds()
+        assert volume.is_point
+        assert volume.lo == pytest.approx(0.5, rel=1e-12, abs=0.0)
+
+    def test_repeated_degenerate_vertex(self):
+        """A pedestrian chunk polytope whose degenerate vertex Qhull's
+        halfspace intersection reports three times (a tetrahedron with six
+        reported vertices).  Without deduplication the triangulation sees an
+        inconsistent face lattice and the volume falls back to a box."""
+        rows = [
+            [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+            [-3, 0, 0], [-3, -1, 0], [3, 1, -1], [3, 0, 0], [-3, 0, 0],
+            [0, 1, 1], [0, -1, -1],
+        ]
+        rhs = [
+            1, 0, 1, 0, 1, 0, 0, 0, 0, 1.3794461715503124, -0.9787478844112216,
+            0.9800761416355203, -0.9787478844112216,
+        ]
+        polytope = Polytope(np.array(rows, dtype=float), np.array(rhs))
+        reference = hull_volume(polytope.vertices())
+        volume = polytope.volume_bounds()
+        assert volume.is_point
+        assert volume.lo == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_cube_cut_by_halfspaces_matches_qhull(self, dimension, cuts, seed):
+        """Cube ∩ random halfspaces agrees with a non-joggled Qhull hull."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(cuts, dimension))
+        rhs = rng.uniform(0.1, 1.0, size=cuts) * np.abs(rows).sum(axis=1)
+        polytope = unit_cube(dimension).add_constraints(rows.tolist(), rhs.tolist())
+        vertices = polytope.vertices()
+        assume(vertices is not None)
+        reference = hull_volume(vertices)
+        assume(reference is not None)  # Qhull's own hull failed
+        volume = polytope.volume_bounds()
+        assert volume.is_point
+        assert volume.lo == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestVertexEnumeration:
