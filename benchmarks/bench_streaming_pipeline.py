@@ -18,17 +18,19 @@ It always asserts **bit-equality** of streamed and batch bounds — in
 ``REPRO_BENCH_TINY`` smoke mode that equality check is the whole point of the
 CI job; the timing assertions are reserved for full fidelity.
 
-A second test pins the other perf claim of this PR: the vectorised
-score-integration sweep (``vectorized_scores``) beats the scalar
-per-combination loop on a ≥1k-combination workload, at identical bounds.
+A second test pins the vectorised score-integration sweep against the scalar
+per-combination loop (its fallback and reference): faster on a
+≥1k-combination workload, at identical bounds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import resource
 import time
+from unittest import mock
 
-from repro.analysis import AnalysisOptions, AnalysisReport, Model
+from repro.analysis import AnalysisOptions, AnalysisReport, Model, linear_analyzer
 from repro.analysis.linear_analyzer import analyze_path_linear
 from repro.intervals import Interval
 from repro.lang import builder as b
@@ -193,13 +195,19 @@ def test_vectorized_integration(bench_once):
     path = symbolic_paths(program).paths[0]
     targets = [Interval(0.0, 1.0), Interval.reals()]
 
+    options = AnalysisOptions(score_splits=splits, max_score_combinations=8_192)
+
     def timed(vectorized: bool):
-        options = AnalysisOptions(
-            score_splits=splits, max_score_combinations=8_192, vectorized_scores=vectorized
+        # The scalar reference: the sweep reports "unsupported", so every
+        # combination takes the per-combination loop.
+        sweep = (
+            contextlib.nullcontext() if vectorized
+            else mock.patch.object(linear_analyzer, "_vectorized_factors", lambda *a, **k: None)
         )
-        start = time.perf_counter()
-        result = analyze_path_linear(path, targets, options)
-        return result, time.perf_counter() - start
+        with sweep:
+            start = time.perf_counter()
+            result = analyze_path_linear(path, targets, options)
+            return result, time.perf_counter() - start
 
     def run_both():
         scalar, scalar_seconds = timed(False)

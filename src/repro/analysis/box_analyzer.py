@@ -376,7 +376,7 @@ def analyze_table_boxes(
     :func:`analyze_path_boxes`, so results are bit-identical to the
     materialised route in every case.
     """
-    program = _box_program(table, index) if options.vectorized_boxes else None
+    program = _box_program(table, index)
     if program is None or len(program[4]) == 0:
         return analyze_path_boxes(table.decode_path(index), targets, options)
     instrs, constraints, score_positions, result_position, distributions = program
@@ -407,12 +407,11 @@ def analyze_path_boxes(
 ) -> list[tuple[float, float]]:
     """Bounds on ``⟦Ψ⟧_lb(U)`` / ``⟦Ψ⟧_ub(U)`` for every target ``U``.
 
-    Returns one ``(lower, upper)`` pair per entry of ``targets``.  With
-    ``options.vectorized_boxes`` (the default) the grid is evaluated in one
-    vectorised sweep over all cells; paths the sweep cannot express fall back
-    to the per-cell loop transparently.
+    Returns one ``(lower, upper)`` pair per entry of ``targets``.  The grid
+    is evaluated in one vectorised sweep over all cells; paths the sweep
+    cannot express fall back to the per-cell loop transparently.
     """
-    if options.vectorized_boxes and path.variable_count > 0:
+    if path.variable_count > 0:
         try:
             return _analyze_path_boxes_vectorized(path, targets, options)
         except _ScalarFallback:

@@ -186,13 +186,6 @@ class AnalysisOptions:
             default) derives the backend from ``workers`` — a process pool
             when ``workers > 1``, the serial loop otherwise.  Defaults to
             ``$REPRO_ANALYSIS_EXECUTOR`` when that variable is set.
-        vectorized_boxes: let the box analyser evaluate all grid cells of a
-            path in one vectorised sweep instead of a per-cell Python loop
-            (:func:`repro.analysis.box_analyzer.analyze_path_boxes`).
-        vectorized_scores: let the linear analyser evaluate all score-atom
-            range combinations of an integral in one vectorised sweep instead
-            of the per-combination Python loop
-            (:mod:`repro.analysis.linear_analyzer`).
         vectorized_transcendentals: evaluate the monotone transcendental
             primitives (``exp``, ``log``) inside vectorised sweeps as
             whole-array NumPy calls instead of the per-cell scalar interval
@@ -314,8 +307,6 @@ class AnalysisOptions:
     workers: int = field(default_factory=_default_workers)
     chunk_size: Optional[int] = None
     executor: Optional[str] = field(default_factory=_default_executor)
-    vectorized_boxes: bool = True
-    vectorized_scores: bool = True
     vectorized_transcendentals: bool = False
     stream: bool = field(default_factory=_default_stream)
     prefetch: int = 4

@@ -19,24 +19,19 @@ serves every downstream query from the cache.  This module keeps the engine
 primitives — :func:`analyze_execution` turns one (possibly cached)
 :class:`~repro.symbolic.SymbolicExecutionResult` into denotation bounds, and
 :func:`normalised_query` / :func:`histogram_buckets` derive posterior-level
-results from them — plus the deprecated free-function shims
-(:func:`bound_denotation`, :func:`bound_query`,
-:func:`bound_posterior_histogram`) that delegate to ``Model``.
+results from them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..intervals import Interval
-from ..lang.ast import Term
 from ..symbolic import SymbolicExecutionResult, SymbolicPath
 from .config import AnalysisOptions
-from .histogram import HistogramBounds
 from .registry import PathAnalyzer, resolve_analyzers
 
 __all__ = [
@@ -50,9 +45,6 @@ __all__ = [
     "reduce_contributions",
     "normalised_query",
     "histogram_buckets",
-    "bound_denotation",
-    "bound_query",
-    "bound_posterior_histogram",
 ]
 
 _REALS = Interval(-math.inf, math.inf)
@@ -153,9 +145,9 @@ def analyze_single_path(
 ) -> PathContribution:
     """Analyse one path with the first applicable analyzer.
 
-    This is the unit of work shared by the serial loop and the parallel
-    chunk workers, which is what guarantees that both modes compute exactly
-    the same per-path numbers.
+    The serial streamed query folds paths through it one at a time, and the
+    chunk loop (:mod:`repro.analysis.parallel`) delegates to it for the
+    canonical "no applicable analyzer" error.
     """
     for analyzer in analyzers:
         if analyzer.applicable(path, options):
@@ -262,25 +254,28 @@ def analyze_execution(
     if executor is not None or options.parallel:
         from .parallel import shared_executor
 
-        # Callers without their own pool (the deprecated shims, direct
-        # engine calls) share process-wide pools instead of paying a pool
-        # fork + teardown per query.
+        # Callers without their own pool (direct engine calls) share
+        # process-wide pools instead of paying a pool fork + teardown per
+        # query.
         pool = executor if executor is not None else shared_executor(options)
         bounds = pool.analyze(execution, targets, options, report)
         report.seconds += time.perf_counter() - start
         return bounds
 
-    # Serial loop: stream paths through the same accumulator the parallel
-    # merge uses, so memory stays O(targets) and the numerics stay identical.
-    analyzers = resolve_analyzers(options)
-    totals = [(0.0, 0.0) for _ in targets]
-    for path in execution.paths:
-        _accumulate(totals, analyze_single_path(path, analyzers, targets, options), report)
+    # Serial: the same chunk body every pool worker runs, over the compiled
+    # program's own table — one chunk spanning every path, sharing the
+    # table's per-analyzer memos (e.g. the linear analyzer's GeometryCache)
+    # with every other query on this execution.
+    from .parallel import analyze_table_slice
+
+    paths = execution.paths
+    contributions = analyze_table_slice(
+        execution.table(), 0, len(paths), tuple(targets), options,
+        resolve_analyzers(options), paths=paths,
+    )
+    bounds = reduce_contributions(contributions, targets, report)
     report.seconds += time.perf_counter() - start
-    return [
-        DenotationBounds(target=target, lower=lower, upper=upper)
-        for target, (lower, upper) in zip(targets, totals)
-    ]
+    return bounds
 
 
 def analyze_path_stream(
@@ -411,63 +406,3 @@ def histogram_buckets(low: float, high: float, bucket_count: int) -> list[Interv
         raise ValueError("histogram bounds require high > low")
     edges = [low + (high - low) * k / bucket_count for k in range(bucket_count + 1)]
     return [Interval(edges[k], edges[k + 1]) for k in range(bucket_count)]
-
-
-# ---------------------------------------------------------------------------
-# Deprecated free-function shims.
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.analysis.{old} is deprecated; use repro.Model and {new} instead "
-        "(the Model facade caches the symbolic execution across queries)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def bound_denotation(
-    term: Term,
-    targets: Sequence[Interval],
-    options: Optional[AnalysisOptions] = None,
-    report: Optional[AnalysisReport] = None,
-) -> list[DenotationBounds]:
-    """Deprecated shim for ``Model(term).bounds(targets)``."""
-    _deprecated("bound_denotation", "Model.bounds")
-    from .model import Model
-
-    # The transient model is closed so a parallel one-off query does not leak
-    # its worker pool; a real Model amortises the pool over many queries.
-    with Model(term, options=options) as model:
-        return model.bounds(targets, report=report)
-
-
-def bound_query(
-    term: Term,
-    target: Interval,
-    options: Optional[AnalysisOptions] = None,
-    report: Optional[AnalysisReport] = None,
-) -> QueryBounds:
-    """Deprecated shim for ``Model(term).probability(target)``."""
-    _deprecated("bound_query", "Model.probability")
-    from .model import Model
-
-    with Model(term, options=options) as model:
-        return model.probability(target, report=report)
-
-
-def bound_posterior_histogram(
-    term: Term,
-    low: float,
-    high: float,
-    bucket_count: int,
-    options: Optional[AnalysisOptions] = None,
-    report: Optional[AnalysisReport] = None,
-) -> HistogramBounds:
-    """Deprecated shim for ``Model(term).histogram(low, high, bucket_count)``."""
-    _deprecated("bound_posterior_histogram", "Model.histogram")
-    from .model import Model
-
-    with Model(term, options=options) as model:
-        return model.histogram(low, high, bucket_count, report=report)

@@ -616,10 +616,11 @@ def _integrate(
 
     # Pre-compute the weight factor of every atom-range combination in one
     # vectorised sweep over the whole product grid (the scalar per-combination
-    # branch below is the historical fallback and remains the reference
-    # semantics — the sweep reproduces its floats bit-for-bit).
+    # branch below is the fallback for templates the sweep cannot express and
+    # remains the reference semantics — the sweep reproduces its floats
+    # bit-for-bit).
     factors = None
-    if options.vectorized_scores and atoms:
+    if atoms:
         factors = _vectorized_factors(
             atom_ranges, templates, is_lower, options.vectorized_transcendentals,
             program=cache.template_program(templates),
@@ -788,7 +789,7 @@ def _vectorized_factors(
     vectorised interval evaluator.  The result is bit-identical to the scalar
     per-combination loop — exact IEEE operations are lifted wholesale and
     everything else falls back to the scalar interval lifting per cell — so
-    enabling ``vectorized_scores`` never moves a bound.  Returns ``None``
+    the sweep never moves a bound.  Returns ``None``
     when the sweep cannot express a template (the caller then runs the
     scalar loop).
 

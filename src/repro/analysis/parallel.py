@@ -8,23 +8,33 @@ regime where it matters: path explosion (Section 7.5) produces tens of
 thousands of paths, each of which runs a polytope volume computation or an
 exponential box grid.
 
-This module fans that loop out over a ``concurrent.futures`` pool:
+How the paths reach an analyzer cannot change the sum, so this module has
+**one chunk body** and **one dispatcher**:
 
-* :func:`partition_paths` cuts the path set into *deterministic, contiguous,
-  cost-balanced* chunks (using :meth:`SymbolicPath.analysis_cost_hint`), so
-  the same workload always produces the same partition;
-* :func:`analyze_chunk` / :func:`analyze_arena_chunk` are the units of work
-  — the former receives plain pickled paths, the latter an
-  :class:`~repro.analysis.transport.ArenaChunkRef` into a shared-memory
-  arena segment (see :mod:`repro.analysis.transport`); both carry analyzer
-  *names* (re-resolved through the registry inside the worker, see
-  :func:`repro.analysis.registry.ensure_analyzers_registered`) and return
-  raw :class:`~repro.analysis.engine.PathContribution` records;
-* :class:`ParallelAnalysisExecutor` owns the pool, dispatches chunks and
-  merges the results with :func:`repro.analysis.engine.reduce_contributions`,
+* :func:`analyze_table_slice` is the chunk body: a ``[start, stop)`` slice
+  (or an explicit index list) of a :class:`~repro.symbolic.arena.PathTable`,
+  swept column-wise by analyzers with ``analyze_table`` (box, linear) and
+  handed as decoded paths to analyzers without it.  The serial engine, the
+  in-process backends, process workers (:func:`analyze_arena_chunk`) and the
+  socket tier's remote workers all run it; :func:`analyze_chunk` is the
+  same loop over pickled path objects (the pickle transport and the
+  degradation ladder).
+* :class:`ParallelAnalysisExecutor` owns the pool.  Its three query kinds —
+  a batch partition (:meth:`~ParallelAnalysisExecutor.analyze_contributions`,
+  cut deterministically and cost-balanced by :func:`partition_paths`),
+  refinement index lists with per-job options
+  (:meth:`~ParallelAnalysisExecutor.analyze_refinement_jobs`) and bounded
+  in-flight streamed chunks (:meth:`~ParallelAnalysisExecutor.analyze_stream`)
+  — only build jobs; one private dispatcher submits each job to the backend
+  (in-process over the compiled program's table, a process pool with an
+  :class:`~repro.analysis.transport.ArenaChunkRef` or a pickled
+  :class:`ChunkPayload`, or a socket work-queue job), collects the futures
+  and holds the socket → local process → serial degradation ladder.
+* Results merge with :func:`repro.analysis.engine.reduce_contributions`,
   which always folds contributions in canonical path order — the merged
   bounds are therefore **bit-identical** to a serial run, independent of the
-  worker count, the chunk size and the order in which workers finish.
+  worker count, the chunk size, the transport and the order in which
+  workers finish.
 
 Exceptions raised inside a worker (including
 :class:`~repro.symbolic.PathExplosionError` and analyzer failures) are
@@ -32,33 +42,24 @@ re-raised in the parent by ``concurrent.futures``.
 
 Backend guidance: the ``"process"`` executor is the right default for
 CPU-bound bound analysis (the per-path work is pure Python and NumPy, so the
-GIL serialises threads); ``"thread"`` is useful when the paths are cheap to
-analyse but the payloads are large to pickle, or inside environments that
-forbid subprocesses; ``"serial"`` runs the identical chunked pipeline
-in-process (handy for debugging a parallel run).
+GIL serialises threads); ``"thread"`` is useful inside environments that
+forbid subprocesses; ``"serial"`` runs the identical chunk body in-process
+(handy for debugging a parallel run).
 
 Process payload transport is a knob (``payload_transport``): ``"arena"``
-(the default) publishes the path set once as a shared-memory path-table
-segment (cached across queries, unlinked on
+(the default) publishes the path table once as a shared-memory segment
+(cached across queries, unlinked on
 :meth:`ParallelAnalysisExecutor.close`) and ships tiny index-range
 references; ``"pickle"`` ships interned object graphs per chunk.  In-process
 backends pass direct references and never intern.
-
-The **columnar fast path** (``options.columnar``, on by default) analyses
-chunks straight from the shared :class:`~repro.symbolic.arena.PathTable`:
-arena workers run :func:`_analyze_table_range` over their attached segment,
-and the in-process (serial/thread) backends run the identical loop over the
-compiled program's own table — analyzers that implement ``analyze_table``
-(box, linear) sweep the node/CSR arrays without materialising
-``SymbolicPath`` objects, while analyzers without the hook transparently
-receive decoded paths.  Bounds are bit-identical across every
-transport/backend/columnar combination.
 """
 
 from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import functools
+import itertools
 import os
 import pickle
 import time
@@ -195,152 +196,32 @@ class ChunkPayload:
     specs: tuple[AnalyzerSpec, ...]
 
 
-def _analyze_paths(
-    paths: Sequence[SymbolicPath],
-    targets: tuple[Interval, ...],
-    options: AnalysisOptions,
-    specs: tuple[AnalyzerSpec, ...],
-) -> list[PathContribution]:
-    """The worker-side per-chunk loop over materialised paths.
-
-    Resolves the analyzer selection and delegates to
-    :func:`_analyze_paths_resolved` (the pickled-payload transports arrive
-    here; the arena transport resolves once per query shape instead, see
-    :func:`analyze_arena_chunk`).
-    """
-    ensure_analyzers_registered(specs)
-    return _analyze_paths_resolved(paths, targets, options, resolve_analyzers(options))
-
-
-def _batch_results(analyzer, batch, paths, targets, options):
-    """Run ``analyze_batch`` (validated) or the per-path loop for a group."""
-    if batch is not None and len(paths) > 1:
-        results = batch(paths, targets, options)
-        if len(results) != len(paths):
-            raise RuntimeError(
-                f"analyzer {analyzer.name!r}.analyze_batch returned "
-                f"{len(results)} results for {len(paths)} paths; one result "
-                "per path is required (a shortfall would silently drop "
-                "path contributions and break soundness)"
-            )
-        return results
-    return [analyzer.analyze(path, targets, options) for path in paths]
-
-
-def _analyze_paths_resolved(
-    paths: Sequence[SymbolicPath],
+def _analyze_grouped(
+    indices: Iterable[int],
+    path_at: Callable[[int], SymbolicPath],
     targets: tuple[Interval, ...],
     options: AnalysisOptions,
     analyzers,
+    table=None,
 ) -> list[PathContribution]:
-    """The materialised per-chunk loop, shared by every payload transport.
+    """The chunk loop: route every path to the first applicable analyzer.
 
-    Consecutive paths handled by the same analyzer are grouped and handed to
-    the analyzer's ``analyze_batch`` when it provides one, amortising
-    per-call overhead (e.g. the box analyser's vectorised grid sweep) over
-    the whole run; analyzers without batch support fall back to per-path
-    calls.  Both routes produce the same per-path contribution records.
+    Consecutive paths routed to the same analyzer form a group, analysed in
+    one call.  With a ``table``, analyzers that implement the columnar hooks
+    (``applicable_table`` / ``analyze_table``) are asked about and handed
+    path *indices* and sweep the table's node/CSR arrays — no
+    ``SymbolicPath`` is materialised for them; every other analyzer
+    receives ``path_at(index)`` through ``analyze_batch`` (when it has one)
+    or per-path ``analyze``.  Every route produces the same contribution
+    records, so the loop's inputs never move a bound.
     """
     contributions: list[PathContribution] = []
-
-    group: list[SymbolicPath] = []
+    group: list[int] = []
     group_analyzer = None
-
-    def flush() -> None:
-        nonlocal group, group_analyzer
-        if not group:
-            return
-        results = _batch_results(
-            group_analyzer,
-            getattr(group_analyzer, "analyze_batch", None),
-            group,
-            targets,
-            options,
-        )
-        for path, result in zip(group, results):
-            contributions.append(
-                PathContribution(
-                    analyzer_name=group_analyzer.name,
-                    truncated=path.truncated,
-                    contributions=tuple(result),
-                )
-            )
-        group = []
-        group_analyzer = None
-
-    for path in paths:
-        for analyzer in analyzers:
-            if analyzer.applicable(path, options):
-                if analyzer is not group_analyzer:
-                    flush()
-                    group_analyzer = analyzer
-                group.append(path)
-                break
-        else:
-            flush()
-            # Delegate to the shared single-path helper for the canonical
-            # "no applicable analyzer" error.
-            contributions.append(analyze_single_path(path, analyzers, targets, options))
-    flush()
-    return contributions
-
-
-def analyze_chunk(payload: ChunkPayload) -> tuple[int, list[PathContribution]]:
-    """Analyse one pickled chunk of paths (runs inside a worker)."""
-    return payload.index, _analyze_paths(
-        payload.paths, payload.targets, payload.options, payload.specs
-    )
-
-
-def _analyze_table_range(
-    table,
-    start: int,
-    stop: int,
-    targets: tuple[Interval, ...],
-    options: AnalysisOptions,
-    analyzers,
-    paths: Optional[Sequence[SymbolicPath]] = None,
-    indices: Optional[Sequence[int]] = None,
-) -> list[PathContribution]:
-    """The columnar per-chunk loop over a ``PathTable`` slice.
-
-    Every path index is routed to the first applicable analyzer — via its
-    ``applicable_table`` hook when it has one, otherwise by asking
-    ``applicable`` on the materialised path.  ``paths`` (optional) is the
-    already-materialised path sequence the table was built from — in-process
-    backends pass ``execution.paths`` so analyzers without the columnar
-    hooks receive the original objects for free; workers over a
-    shared-memory attachment leave it ``None`` and decode on demand
-    (memoised per call).  Consecutive same-analyzer indices form a group:
-
-    * analyzers with ``analyze_table`` receive the index group directly and
-      sweep the table's node/CSR arrays — **no** ``SymbolicPath`` objects
-      are materialised for them;
-    * analyzers without the hook transparently receive the decoded paths
-      through the same batch/per-path calls as the materialised loop.
-
-    Contribution records (analyzer name, truncated flag, per-target bounds)
-    are identical to :func:`_analyze_paths_resolved` over the decoded
-    slice — the columnar route never moves a bound.
-
-    ``indices`` (optional) replaces the contiguous ``[start, stop)`` range
-    with an explicit index list (the refinement scheduler's scattered
-    worst-gap subsets); results follow the given order.
-    """
-    contributions: list[PathContribution] = []
-    decoded: dict[int, SymbolicPath] = {}
-
-    def path_at(index: int) -> SymbolicPath:
-        if paths is not None:
-            return paths[index]
-        path = decoded.get(index)
-        if path is None:
-            path = decoded[index] = table.decode_path(index)
-        return path
 
     def pick(index: int):
         for analyzer in analyzers:
-            table_pred = getattr(analyzer, "applicable_table", None)
+            table_pred = getattr(analyzer, "applicable_table", None) if table is not None else None
             if table_pred is not None:
                 if table_pred(table, index, options):
                     return analyzer
@@ -348,41 +229,41 @@ def _analyze_table_range(
                 return analyzer
         return None
 
-    group: list[int] = []
-    group_analyzer = None
-
     def flush() -> None:
         nonlocal group, group_analyzer
         if not group:
             return
         analyzer = group_analyzer
-        table_batch = getattr(analyzer, "analyze_table", None)
+        table_batch = getattr(analyzer, "analyze_table", None) if table is not None else None
+        batch = getattr(analyzer, "analyze_batch", None)
         if table_batch is not None:
-            results = table_batch(table, tuple(group), targets, options)
-            if len(results) != len(group):
-                raise RuntimeError(
-                    f"analyzer {analyzer.name!r}.analyze_table returned "
-                    f"{len(results)} results for {len(group)} paths; one result "
-                    "per path is required (a shortfall would silently drop "
-                    "path contributions and break soundness)"
-                )
-        else:
+            method, results = "analyze_table", table_batch(table, tuple(group), targets, options)
+        elif batch is not None and len(group) > 1:
             paths = [path_at(index) for index in group]
-            results = _batch_results(
-                analyzer, getattr(analyzer, "analyze_batch", None), paths, targets, options
+            method, results = "analyze_batch", batch(paths, targets, options)
+        else:
+            method = "analyze"
+            results = [analyzer.analyze(path_at(index), targets, options) for index in group]
+        if len(results) != len(group):
+            raise RuntimeError(
+                f"analyzer {analyzer.name!r}.{method} returned "
+                f"{len(results)} results for {len(group)} paths; one result "
+                "per path is required (a shortfall would silently drop "
+                "path contributions and break soundness)"
             )
         for index, result in zip(group, results):
+            truncated = table.is_truncated(index) if table is not None else path_at(index).truncated
             contributions.append(
                 PathContribution(
                     analyzer_name=analyzer.name,
-                    truncated=table.is_truncated(index),
+                    truncated=truncated,
                     contributions=tuple(result),
                 )
             )
         group = []
         group_analyzer = None
 
-    for index in (indices if indices is not None else range(start, stop)):
+    for index in indices:
         analyzer = pick(index)
         if analyzer is None:
             flush()
@@ -396,6 +277,64 @@ def _analyze_table_range(
         group.append(index)
     flush()
     return contributions
+
+
+def _analyze_paths_resolved(
+    paths: Sequence[SymbolicPath],
+    targets: tuple[Interval, ...],
+    options: AnalysisOptions,
+    analyzers,
+) -> list[PathContribution]:
+    """The chunk loop over materialised paths (no table)."""
+    return _analyze_grouped(range(len(paths)), paths.__getitem__, targets, options, analyzers)
+
+
+def analyze_chunk(payload: ChunkPayload) -> tuple[int, list[PathContribution]]:
+    """Analyse one pickled chunk of paths (runs inside a worker)."""
+    ensure_analyzers_registered(payload.specs)
+    analyzers = resolve_analyzers(payload.options)
+    return payload.index, _analyze_paths_resolved(
+        payload.paths, payload.targets, payload.options, analyzers
+    )
+
+
+def _analyze_table_range(
+    table,
+    start: int,
+    stop: int,
+    targets: tuple[Interval, ...],
+    options: AnalysisOptions,
+    analyzers,
+    paths: Optional[Sequence[SymbolicPath]] = None,
+    indices: Optional[Sequence[int]] = None,
+    columnar: bool = True,
+) -> list[PathContribution]:
+    """The chunk loop over a ``PathTable`` slice (columnar unless told not to).
+
+    ``paths`` (optional) is the already-materialised path sequence the
+    table was built from — in-process backends pass ``execution.paths`` so
+    analyzers without the columnar hooks receive the original objects for
+    free; workers over a shared-memory attachment leave it ``None`` and
+    decode on demand (memoised per call).  ``indices`` (optional) replaces
+    the contiguous ``[start, stop)`` range with an explicit index list (the
+    refinement scheduler's scattered worst-gap subsets); results follow the
+    given order.
+    """
+    if paths is not None:
+        path_at = paths.__getitem__
+    else:
+        decoded: dict[int, SymbolicPath] = {}
+
+        def path_at(index: int) -> SymbolicPath:
+            path = decoded.get(index)
+            if path is None:
+                path = decoded[index] = table.decode_path(index)
+            return path
+
+    return _analyze_grouped(
+        indices if indices is not None else range(start, stop),
+        path_at, targets, options, analyzers, table=table if columnar else None,
+    )
 
 
 #: Worker-side cache of *resolved* query contexts, keyed by the context
@@ -444,28 +383,19 @@ def analyze_table_slice(
     """Analyse one ``[start, stop)`` slice of a ``PathTable`` (resolved form).
 
     The transport-independent chunk body: the columnar sweep under
-    ``options.columnar``, the materialised loop otherwise — the same two
-    routes every backend runs, so any consumer holding a table and resolved
-    analyzers (process workers, the socket tier's remote workers, in-process
-    backends) produces the exact same contribution records.
+    ``options.columnar``, decoded paths otherwise.  Every consumer holding a
+    table and resolved analyzers runs it — the serial engine, in-process
+    backends, process workers and the socket tier's remote workers — so all
+    produce the exact same contribution records.
 
     ``indices`` (optional) overrides ``[start, stop)`` with an explicit
     path-index list — the refinement scheduler's scattered worst-gap
     subsets travel through the very same chunk body on every backend.
     """
-    if options.columnar:
-        return _analyze_table_range(
-            table, start, stop, targets, options, analyzers, paths=paths, indices=indices
-        )
-    if indices is not None:
-        decoded = (
-            [paths[index] for index in indices]
-            if paths is not None
-            else [table.decode_path(index) for index in indices]
-        )
-    else:
-        decoded = paths[start:stop] if paths is not None else table.decode_range(start, stop)
-    return _analyze_paths_resolved(decoded, targets, options, analyzers)
+    return _analyze_table_range(
+        table, start, stop, targets, options, analyzers,
+        paths=paths, indices=indices, columnar=options.columnar,
+    )
 
 
 def analyze_arena_chunk(ref: ArenaChunkRef) -> tuple[int, list[PathContribution]]:
@@ -504,7 +434,7 @@ def _gathered(results: list[tuple[int, list[PathContribution]]]) -> list[PathCon
 
 
 #: Process-wide executor cache for callers without their own pool lifecycle
-#: (the deprecated ``bound_*`` shims, direct ``analyze_execution`` calls).
+#: (direct ``analyze_execution`` calls).
 #: ``Model`` owns and closes its pools explicitly and does not use this.
 _SHARED_EXECUTORS: dict[tuple[str, int], "ParallelAnalysisExecutor"] = {}
 
@@ -891,150 +821,21 @@ class ParallelAnalysisExecutor:
                 return None
         return self._fallback_pool
 
-    def _complete_payloads_locally(
-        self, payloads: Sequence[ChunkPayload], reason: str
-    ) -> list[tuple[int, list[PathContribution]]]:
-        """Run chunks the socket backend failed on a local backend.
-
-        The degradation ladder: first the lazily-created local process pool,
-        and when that is broken too, the serial in-process loop.  Every rung
-        runs the identical chunk body (:func:`analyze_chunk`), and the
-        caller merges the returned ``(index, contributions)`` pairs through
-        the same canonical-order reduction as undisturbed results — so a
-        degraded query's bounds are **bit-identical** to a fault-free run.
-        """
-        if not payloads:
-            return []
-        warnings.warn(
-            f"socket backend degraded ({reason}); re-dispatching "
-            f"{len(payloads)} chunk(s) on the local process pool "
-            "(falling back to serial if that fails too) — bounds are "
-            "unaffected, only latency",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self.degraded_chunks += len(payloads)
-        pool = self._ensure_fallback_pool()
-        if pool is not None:
-            try:
-                futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
-                results = [future.result() for future in futures]
-                self.degraded_to = self.degraded_to or "process"
-                return results
-            except Exception:  # noqa: BLE001 - broken pool: take the last rung
-                pass
-        self.degraded_to = "serial"
-        return [analyze_chunk(payload) for payload in payloads]
-
-    def _socket_future_result(self, queue, future):
-        """Wait on one socket-job future, policing a workerless queue.
-
-        A socket job's timeout is only armed once a worker picks it up, so
-        a queue that has lost every worker would otherwise pend forever.
-        The poll loop grants a workerless queue ``io_timeout`` seconds of
-        grace (workers may be mid-reconnect) and then raises ``WorkerLost``
-        so the caller can take the degradation ladder.
-        """
-        from ..service.protocol import WorkerLost
-
-        workerless_since: Optional[float] = None
-        while True:
-            try:
-                return future.result(timeout=0.25)
-            except concurrent.futures.TimeoutError:
-                if queue.worker_count() > 0:
-                    workerless_since = None
-                    continue
-                now = time.monotonic()
-                if workerless_since is None:
-                    workerless_since = now
-                elif now - workerless_since >= self.io_timeout:
-                    future.cancel()
-                    raise WorkerLost(
-                        f"work queue has had no connected workers for "
-                        f"{self.io_timeout:.1f}s"
-                    ) from None
-
-    def _analyze_socket(
-        self,
-        execution: SymbolicExecutionResult,
-        target_tuple: tuple[Interval, ...],
-        options: AnalysisOptions,
-        specs: tuple[AnalyzerSpec, ...],
-        chunks: list[range],
-    ) -> list[PathContribution]:
-        """Batch dispatch over the TCP work queue.
-
-        The distributed analogue of the arena branch in :meth:`analyze`:
-        the table image and the query context are content-addressed
-        resources registered once, every chunk travels as a tiny index
-        range, and the futures merge through the same canonical-order
-        reduction — socket bounds are bit-identical to serial bounds.
-
-        When the queue exhausts a job's retries or loses every worker, the
-        unfinished chunks ride the degradation ladder
-        (:meth:`_complete_payloads_locally`); already-collected socket
-        results are kept, and the merge stays canonical, so the recovered
-        bounds match the undisturbed run bit for bit.
-        """
-        from ..service.protocol import WorkerLost
-
-        queue = self._ensure_queue()
-        table_key = self._socket_table_key(execution, queue)
-        context_key = self._socket_context_key(queue, target_tuple, options, specs)
-        deadline = (
-            time.monotonic() + options.time_budget
-            if options.time_budget is not None
-            else None
-        )
-        futures = [
-            queue.submit_chunk(
-                index=chunk_index,
-                table=table_key,
-                start=chunk.start,
-                stop=chunk.stop,
-                context=context_key,
-                timeout=options.job_timeout,
-                retries=options.job_retries,
-                deadline=deadline,
-            )
-            for chunk_index, chunk in enumerate(chunks)
-        ]
-        paths = execution.paths
-
-        def payload_for(chunk_index: int) -> ChunkPayload:
-            chunk = chunks[chunk_index]
-            return ChunkPayload(
-                index=chunk_index,
-                paths=tuple(paths[chunk.start : chunk.stop]),
-                targets=target_tuple,
-                options=options,
-                specs=specs,
-            )
-
-        results: list[tuple[int, list[PathContribution]]] = []
-        for chunk_index, future in enumerate(futures):
-            try:
-                results.append(self._socket_future_result(queue, future))
-            except WorkerLost as error:
-                # The socket tier is out of attempts or out of workers:
-                # salvage whatever later chunks already finished, hand the
-                # rest down the ladder.
-                leftovers = [payload_for(chunk_index)]
-                for later_index in range(chunk_index + 1, len(futures)):
-                    later = futures[later_index]
-                    later.cancel()
-                    if later.done() and not later.cancelled() and later.exception() is None:
-                        results.append(later.result())
-                    else:
-                        leftovers.append(payload_for(later_index))
-                results.extend(self._complete_payloads_locally(leftovers, str(error)))
-                break
-        return _gathered(results)
-
     # ------------------------------------------------------------------
-    # Analysis
+    # Analysis: job builders over the one chunk dispatcher
     # ------------------------------------------------------------------
+    def _specs_for(self, options: AnalysisOptions) -> tuple[AnalyzerSpec, ...]:
+        """Analyzer specs for remote workers (in-process backends need none).
+
+        Custom analyzers must be resolvable by name inside remote workers
+        (process pool or socket queue); either way an unknown name fails
+        fast here, in the parent.
+        """
+        if self.kind in ("process", "socket"):
+            return analyzer_specs(options.analyzer_names)
+        resolve_analyzers(options)
+        return ()
+
     def analyze(
         self,
         execution: SymbolicExecutionResult,
@@ -1063,118 +864,34 @@ class ParallelAnalysisExecutor:
 
         The dispatch body behind :meth:`analyze`, exposed separately because
         the refinement scheduler needs the *per-path* records (to key its
-        gap heap) rather than the reduced sums.  Chunk results are
-        reassembled in chunk order, so ``reduce_contributions`` over the
-        returned list reproduces :meth:`analyze` bit for bit.
+        gap heap) rather than the reduced sums.  The path set is cut by
+        :func:`partition_paths` and every chunk becomes one dispatcher job;
+        chunk results are reassembled in chunk order, so
+        ``reduce_contributions`` over the returned list reproduces
+        :meth:`analyze` bit for bit.
         """
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
         options = options or AnalysisOptions()
-        target_tuple = tuple(targets)
         paths = execution.paths
         # chunk_size is a per-call knob: the caller's options win, the
         # executor's own value is only a default.
         chunk_size = options.chunk_size if options.chunk_size is not None else self.chunk_size
         chunks = partition_paths(paths, self.workers, chunk_size)
-        # Custom analyzers must be resolvable by name inside remote workers
-        # (process pool or socket queue); fail fast in the parent when a
-        # name is simply unknown.
-        remote = self.kind in ("process", "socket")
-        specs = analyzer_specs(options.analyzer_names) if remote else ()
-        if not remote:
-            resolve_analyzers(options)
-        self.chunks_dispatched += len(chunks)
-        self.paths_analyzed += len(paths)
-
+        specs = self._specs_for(options)
         # Empty or single-chunk work always runs inline: it is bit-identical
-        # (same per-chunk loop) and avoids forking a pool (or binding a work
+        # (same chunk body) and avoids forking a pool (or binding a work
         # queue) for trivial path sets — e.g. one-path models under a
         # process-wide REPRO_ANALYSIS_WORKERS default.
-        if self.kind == "socket" and len(chunks) > 1:
-            return self._analyze_socket(execution, target_tuple, options, specs, chunks)
-        pooled = len(chunks) > 1 and self.kind != "serial"
-        pool = self._ensure_pool() if pooled else None
-        pooled = pool is not None
+        with _Dispatch(self, tuple(targets), options, inline=len(chunks) <= 1) as dispatch:
+            for chunk_index, chunk in enumerate(chunks):
+                dispatch.submit(_ChunkJob(
+                    chunk_index, paths, chunk.start, chunk.stop, options, specs,
+                    execution=execution,
+                ))
+            dispatch.drain()
+        return _gathered(dispatch.results)
 
-        if pooled and self.kind == "process" and options.effective_transport == "arena":
-            segment = self._arena_for(execution)
-            context = (
-                self._context_for(target_tuple, options, specs)
-                if segment is not None
-                else None
-            )
-            if segment is not None and context is not None:
-                # Zero-copy dispatch: the arena segment is written (or cache
-                # hit) once per path set and the query context once per query
-                # shape; each chunk ships as a tiny index range into the
-                # arena's path table.
-                refs = [
-                    ArenaChunkRef(
-                        index=chunk_index,
-                        segment=segment.name,
-                        nbytes=segment.nbytes,
-                        start=chunk.start,
-                        stop=chunk.stop,
-                        context=context.name,
-                    )
-                    for chunk_index, chunk in enumerate(chunks)
-                ]
-                futures = [pool.submit(analyze_arena_chunk, ref) for ref in refs]
-                results = [future.result() for future in futures]
-                return _gathered(results)
-
-        # In-process columnar fast path: serial/thread backends (and inline
-        # single-chunk runs on any backend) analyse the compiled program's
-        # shared PathTable — the identical columnar sweep the process
-        # workers run over their shared-memory attachment, including its
-        # per-table memo reuse across chunks and queries.  Nothing is
-        # interned, pickled or published.
-        if options.columnar and (pool is None or self.kind == "thread"):
-            table = execution.table()
-            analyzers = resolve_analyzers(options)
-
-            def run_table_chunk(chunk_index: int, chunk: range):
-                return chunk_index, _analyze_table_range(
-                    table, chunk.start, chunk.stop, target_tuple, options, analyzers,
-                    paths=paths,
-                )
-
-            if pool is None:
-                results = [run_table_chunk(i, chunk) for i, chunk in enumerate(chunks)]
-            else:
-                futures = [pool.submit(run_table_chunk, i, chunk) for i, chunk in enumerate(chunks)]
-                results = [future.result() for future in futures]
-            return _gathered(results)
-
-        # Pickle transport (and the remaining in-process routes).  Interning
-        # only pays for itself when chunks are actually pickled to a process
-        # pool; serial/thread backends and inline runs pass direct
-        # references, so they skip the memo walk entirely.
-        memo: Optional[dict] = {} if pooled and self.kind == "process" else None
-        payloads = [
-            ChunkPayload(
-                index=chunk_index,
-                paths=(
-                    intern_paths(paths[chunk.start : chunk.stop], memo)
-                    if memo is not None
-                    else tuple(paths[chunk.start : chunk.stop])
-                ),
-                targets=target_tuple,
-                options=options,
-                specs=specs,
-            )
-            for chunk_index, chunk in enumerate(chunks)
-        ]
-        if not pooled:
-            results = [analyze_chunk(payload) for payload in payloads]
-        else:
-            futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
-            results = [future.result() for future in futures]
-        return _gathered(results)
-
-    # ------------------------------------------------------------------
-    # Refinement dispatch
-    # ------------------------------------------------------------------
     def analyze_refinement_jobs(
         self,
         execution: SymbolicExecutionResult,
@@ -1186,7 +903,7 @@ class ParallelAnalysisExecutor:
         The refinement scheduler's dispatch primitive: every job is a
         ``(indices, options)`` pair — a scattered worst-gap subset of
         ``execution``'s path table plus the scaled split budgets of its
-        refinement level.  Jobs ride the executor's regular chunk machinery
+        refinement level.  Jobs ride the same dispatcher as batch chunks
         (arena refs / pickled payloads / socket index jobs, depending on
         backend and transport), and the per-path records come back in job
         order with each job's records following its index order — so the
@@ -1198,133 +915,17 @@ class ParallelAnalysisExecutor:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
         if not jobs:
             return []
-        target_tuple = tuple(targets)
         paths = execution.paths
-        self.chunks_dispatched += len(jobs)
-        self.paths_analyzed += sum(len(indices) for indices, _ in jobs)
-
-        if self.kind == "socket":
-            from ..service.protocol import WorkerLost
-
-            queue = self._ensure_queue()
-            table_key = self._socket_table_key(execution, queue)
-            futures = []
+        with _Dispatch(self, tuple(targets), jobs[0][1]) as dispatch:
             for job_index, (indices, options) in enumerate(jobs):
-                specs = analyzer_specs(options.analyzer_names)
-                context_key = self._socket_context_key(queue, target_tuple, options, specs)
-                deadline = (
-                    time.monotonic() + options.time_budget
-                    if options.time_budget is not None
-                    else None
-                )
-                futures.append(
-                    queue.submit_chunk(
-                        index=job_index,
-                        table=table_key,
-                        start=0,
-                        stop=0,
-                        context=context_key,
-                        timeout=options.job_timeout,
-                        retries=options.job_retries,
-                        indices=indices,
-                        deadline=deadline,
-                    )
-                )
+                dispatch.submit(_ChunkJob(
+                    job_index, paths, 0, 0, options, self._specs_for(options),
+                    indices=tuple(indices), execution=execution,
+                ))
+            dispatch.drain()
+        dispatch.results.sort(key=lambda item: item[0])
+        return [contributions for _, contributions in dispatch.results]
 
-            def job_payload(job_index: int) -> ChunkPayload:
-                indices, options = jobs[job_index]
-                return ChunkPayload(
-                    index=job_index,
-                    paths=tuple(paths[i] for i in indices),
-                    targets=target_tuple,
-                    options=options,
-                    specs=analyzer_specs(options.analyzer_names),
-                )
-
-            results: list[tuple[int, list[PathContribution]]] = []
-            for job_index, future in enumerate(futures):
-                try:
-                    results.append(self._socket_future_result(queue, future))
-                except WorkerLost as error:
-                    leftovers = [job_payload(job_index)]
-                    for later_index in range(job_index + 1, len(futures)):
-                        later = futures[later_index]
-                        later.cancel()
-                        if later.done() and not later.cancelled() and later.exception() is None:
-                            results.append(later.result())
-                        else:
-                            leftovers.append(job_payload(later_index))
-                    results.extend(self._complete_payloads_locally(leftovers, str(error)))
-                    break
-            results.sort(key=lambda item: item[0])
-            return [contributions for _, contributions in results]
-
-        pool = self._ensure_pool() if self.kind in ("thread", "process") else None
-
-        if (
-            pool is not None
-            and self.kind == "process"
-            and jobs[0][1].effective_transport == "arena"
-        ):
-            segment = self._arena_for(execution)
-            if segment is not None:
-                refs = []
-                for job_index, (indices, options) in enumerate(jobs):
-                    specs = analyzer_specs(options.analyzer_names)
-                    context = self._context_for(target_tuple, options, specs)
-                    if context is None:
-                        refs = None
-                        break
-                    refs.append(
-                        ArenaChunkRef(
-                            index=job_index,
-                            segment=segment.name,
-                            nbytes=segment.nbytes,
-                            start=0,
-                            stop=0,
-                            context=context.name,
-                            indices=tuple(indices),
-                        )
-                    )
-                if refs is not None:
-                    futures = [pool.submit(analyze_arena_chunk, ref) for ref in refs]
-                    return [future.result()[1] for future in futures]
-
-        if pool is not None and self.kind == "process":
-            # Pickle fallback: the selected paths travel as an interned
-            # object graph per job (one fresh memo each — jobs are small).
-            payloads = [
-                ChunkPayload(
-                    index=job_index,
-                    paths=intern_paths(tuple(paths[i] for i in indices), {}),
-                    targets=target_tuple,
-                    options=options,
-                    specs=analyzer_specs(options.analyzer_names),
-                )
-                for job_index, (indices, options) in enumerate(jobs)
-            ]
-            futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
-            return [future.result()[1] for future in futures]
-
-        # In-process backends run the shared table slice body directly over
-        # the compiled program's own table (honouring options.columnar).
-        table = execution.table()
-
-        def run_job(indices: tuple[int, ...], options: AnalysisOptions):
-            analyzers = resolve_analyzers(options)
-            return analyze_table_slice(
-                table, 0, 0, target_tuple, options, analyzers,
-                paths=paths, indices=indices,
-            )
-
-        if pool is None:
-            return [run_job(tuple(indices), options) for indices, options in jobs]
-        futures = [pool.submit(run_job, tuple(indices), options) for indices, options in jobs]
-        return [future.result() for future in futures]
-
-    # ------------------------------------------------------------------
-    # Streaming analysis
-    # ------------------------------------------------------------------
     def analyze_stream(
         self,
         paths: Iterable[SymbolicPath],
@@ -1365,11 +966,10 @@ class ParallelAnalysisExecutor:
         (contribution records are a few floats per path, so retaining them
         does not undo the bounded path buffer).
 
-        Under the ``"socket"`` backend each chunk is encoded as its own
-        small path-table image, registered with the work queue under its
-        content hash, dispatched as an index-range job, and discarded the
-        moment its result lands — the TCP analogue of the per-chunk arena
-        segments below.
+        A streamed chunk has no compiled table to index into, so on the
+        process backend it publishes its own short-lived arena segment and
+        on the socket backend its own small table resource; either is
+        released the moment the chunk's result is collected.
         """
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
@@ -1379,269 +979,40 @@ class ParallelAnalysisExecutor:
         if chunk_size is None:
             chunk_size = _STREAM_CHUNK_SIZE
         max_inflight = self.workers * options.prefetch
-
-        remote = self.kind in ("process", "socket")
-        specs = analyzer_specs(options.analyzer_names) if remote else ()
-        if not remote:
-            resolve_analyzers(options)
+        specs = self._specs_for(options)
 
         start = time.perf_counter()
         self.peak_path_buffer = 0
-        pool = self._ensure_pool()
-        queue = self._ensure_queue() if self.kind == "socket" else None
-        queue_context: Optional[str] = None
-        if queue is not None:
-            queue_context = self._socket_context_key(queue, target_tuple, options, specs)
-        # Streamed arena dispatch publishes one short-lived segment per chunk
-        # (the full path set is unknown while the stream is live); a segment
-        # is unlinked the moment its chunk's result is collected, and the
-        # ``finally`` below sweeps whatever is outstanding when the stream
-        # dies mid-way (e.g. a PathExplosionError).
-        use_arena = (
-            pool is not None
-            and self.kind == "process"
-            and options.effective_transport == "arena"
-            and shared_memory_available()
-            and not self._arena_degraded
-        )
-        stream_segments: dict[concurrent.futures.Future, ArenaSegment] = {}
-        #: Socket streaming: per-chunk table resources retired on collection
-        #: (the work-queue analogue of the per-chunk arena segments).
-        stream_resources: dict[concurrent.futures.Future, str] = {}
-        #: Socket streaming: the local re-dispatch payload of every in-flight
-        #: chunk, so a chunk whose socket job is lost rides the degradation
-        #: ladder instead of failing the query.  Bounded by ``max_inflight``.
-        stream_chunk_payloads: dict[concurrent.futures.Future, ChunkPayload] = {}
-        #: Absolute deadline derived from ``options.time_budget`` (the whole
-        #: stream shares it, like a batch query's chunks do).
-        stream_deadline = (
-            time.monotonic() + options.time_budget
-            if options.time_budget is not None
-            else None
-        )
-        #: Flipped once the ladder fires: later chunks skip the dead socket
-        #: tier and go straight to the local backend.
-        socket_dead = False
-        workerless_since: Optional[float] = None
-        results: list[tuple[int, list[PathContribution]]] = []
-        inflight: dict[concurrent.futures.Future, int] = {}  # future -> path count
         buffer: list[SymbolicPath] = []
-        progress_pending = progress is not None
-        #: Completion timestamps recorded by done-callbacks (which fire the
-        #: moment a worker finishes, possibly from the pool's result thread) —
-        #: collecting a result later would overstate time-to-first-bound when
-        #: the in-flight cap is never reached.
-        done_at: list[float] = []
-        first_result_seconds: Optional[float] = None
         path_count = 0
-        chunk_index = 0
-
-        def note_buffer() -> None:
-            resident = len(buffer) + sum(inflight.values())
-            if resident > self.peak_path_buffer:
-                self.peak_path_buffer = resident
-
-        def note_done(_future: concurrent.futures.Future) -> None:
-            done_at.append(time.perf_counter())
+        chunk_numbers = itertools.count()
+        dispatch = _Dispatch(self, target_tuple, options)
 
         def fire_progress() -> None:
             """Invoke the anytime first-bound hook once, on the first result."""
-            nonlocal progress_pending
-            if not progress_pending or not results:
+            nonlocal progress
+            if progress is None or not dispatch.results:
                 return
-            progress_pending = False
-            ordered = sorted(results, key=lambda item: item[0])
-            partial: list[PathContribution] = []
-            for _, chunk_contributions in ordered:
-                partial.extend(chunk_contributions)
-            progress(reduce_contributions(partial, target_tuple, None), len(partial))
+            hook, progress = progress, None
+            partial = _gathered(list(dispatch.results))
+            hook(reduce_contributions(partial, target_tuple, None), len(partial))
 
-        def collect(future: concurrent.futures.Future) -> None:
-            nonlocal socket_dead
-            from ..service.protocol import WorkerLost
+        def note_buffer() -> None:
+            resident = len(buffer) + sum(len(job.paths) for job in dispatch.inflight.values())
+            self.peak_path_buffer = max(self.peak_path_buffer, resident)
 
-            inflight.pop(future)
-            segment = stream_segments.pop(future, None)
-            resource = stream_resources.pop(future, None)
-            payload = stream_chunk_payloads.pop(future, None)
-            try:
-                results.append(future.result())  # re-raises worker exceptions
-            except WorkerLost as error:
-                # Socket job out of attempts: this chunk takes the ladder;
-                # the stream keeps flowing and the merge stays canonical.
-                if payload is None:
-                    raise
-                socket_dead = queue.worker_count() == 0
-                results.extend(self._complete_payloads_locally([payload], str(error)))
-            finally:
-                if segment is not None:
-                    segment.unlink()
-                if resource is not None:
-                    queue.discard_resource(resource)
-            fire_progress()
-
-        def wait_some() -> None:
-            """Collect at least one in-flight future (ladder on a dead queue).
-
-            Pool futures always complete eventually, but socket futures on a
-            workerless queue would pend forever (their timeouts arm at
-            dispatch) — so the socket wait polls, grants a workerless queue
-            ``io_timeout`` of reconnect grace, and then pulls every stranded
-            chunk down the degradation ladder.
-            """
-            nonlocal socket_dead, workerless_since
-            while inflight:
-                done, _ = concurrent.futures.wait(
-                    tuple(inflight),
-                    timeout=0.25 if queue is not None else None,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                if done:
-                    workerless_since = None
-                    for finished in done:
-                        collect(finished)
-                    return
-                if queue is None:
-                    continue
-                if queue.worker_count() > 0:
-                    workerless_since = None
-                    continue
-                now = time.monotonic()
-                if workerless_since is None:
-                    workerless_since = now
-                    continue
-                if now - workerless_since < self.io_timeout:
-                    continue
-                # Every worker is gone and none came back: strand-collect
-                # the whole in-flight set locally.
-                socket_dead = True
-                stranded = list(inflight)
-                payloads: list[ChunkPayload] = []
-                for future in stranded:
-                    inflight.pop(future)
-                    key = stream_resources.pop(future, None)
-                    if key is not None:
-                        queue.discard_resource(key)
-                    payload = stream_chunk_payloads.pop(future, None)
-                    future.cancel()
-                    if future.done() and not future.cancelled() and future.exception() is None:
-                        results.append(future.result())
-                    elif payload is not None:
-                        payloads.append(payload)
-                results.extend(self._complete_payloads_locally(
-                    payloads,
-                    f"work queue has had no connected workers for {self.io_timeout:.1f}s",
-                ))
-                fire_progress()
-                return
-
-        def dispatch() -> None:
-            nonlocal chunk_index, first_result_seconds, use_arena
-            chunk_paths = tuple(buffer)
-            index = chunk_index
-            chunk_index += 1
-            self.chunks_dispatched += 1
+        def flush() -> None:
+            dispatch.submit(_ChunkJob(
+                next(chunk_numbers), tuple(buffer), 0, len(buffer), options, specs
+            ))
             buffer.clear()
-            if pool is None and queue is None:
-                # Serial kind: the identical chunked pipeline without a pool —
-                # the buffer stays bounded by one chunk, and nothing is
-                # pickled, so the paths travel as direct references.
-                payload = ChunkPayload(
-                    index=index, paths=chunk_paths, targets=target_tuple,
-                    options=options, specs=specs,
-                )
-                self.peak_path_buffer = max(self.peak_path_buffer, len(chunk_paths))
-                results.append(analyze_chunk(payload))
-                if first_result_seconds is None:
-                    first_result_seconds = time.perf_counter() - start
-                fire_progress()
-                return
-
-            if queue is not None:
-                payload = ChunkPayload(
-                    index=index, paths=chunk_paths, targets=target_tuple,
-                    options=options, specs=specs,
-                )
-                if socket_dead:
-                    # The ladder already fired: skip the dead socket tier.
-                    results.extend(self._complete_payloads_locally(
-                        [payload], "socket backend previously lost"
-                    ))
-                    fire_progress()
-                    return
-                from ..service.protocol import hash_bytes
-
-                image = encode_paths(chunk_paths)
-                key = hash_bytes(image)
-                queue.add_resource(key, image, "table")
-                future = queue.submit_chunk(
-                    index=index,
-                    table=key,
-                    start=0,
-                    stop=len(chunk_paths),
-                    context=queue_context,
-                    timeout=options.job_timeout,
-                    retries=options.job_retries,
-                    deadline=stream_deadline,
-                )
-                stream_resources[future] = key
-                stream_chunk_payloads[future] = payload
-                inflight[future] = len(chunk_paths)
-                future.add_done_callback(note_done)
-                note_buffer()
-                while len(inflight) >= max_inflight:
-                    wait_some()
-                return
-
-            segment: Optional[ArenaSegment] = None
-            context: Optional[ContextSegment] = None
-            if use_arena:
-                context = self._context_for(target_tuple, options, specs)
-                segment = create_arena_segment(chunk_paths) if context is not None else None
-                if segment is None:
-                    use_arena = False  # degrade once, stay degraded
-                    self._arena_degraded = True
-            if segment is not None:
-                future = pool.submit(
-                    analyze_arena_chunk,
-                    ArenaChunkRef(
-                        index=index,
-                        segment=segment.name,
-                        nbytes=segment.nbytes,
-                        start=0,
-                        stop=len(chunk_paths),
-                        context=context.name,
-                    ),
-                )
-                stream_segments[future] = segment
-            else:
-                # Pickled chunk: intern against a fresh memo per chunk —
-                # pickle's own memoisation is per-payload, so cross-chunk
-                # sharing would not shrink payloads further, it would only
-                # retain every unique expression of the whole stream in the
-                # parent for the query's lifetime.  The thread backend passes
-                # direct references and skips the memo walk.
-                payload = ChunkPayload(
-                    index=index,
-                    paths=(
-                        intern_paths(chunk_paths, {})
-                        if self.kind == "process"
-                        else chunk_paths
-                    ),
-                    targets=target_tuple,
-                    options=options,
-                    specs=specs,
-                )
-                future = pool.submit(analyze_chunk, payload)
-            inflight[future] = len(chunk_paths)
-            future.add_done_callback(note_done)
             note_buffer()
-            # Bounded buffer: block until a slot frees up.
-            while len(inflight) >= max_inflight:
-                wait_some()
+            while len(dispatch.inflight) >= max_inflight:
+                dispatch.wait_some()
 
+        dispatch.on_result = fire_progress
         fault_plan = faults.active()
-        try:
+        with dispatch:
             for path in paths:
                 if fault_plan is not None:
                     action = fault_plan.decide("stream.paths")
@@ -1654,39 +1025,364 @@ class ParallelAnalysisExecutor:
                 path_count += 1
                 note_buffer()
                 if len(buffer) >= chunk_size:
-                    dispatch()
+                    flush()
             if buffer:
-                dispatch()
-            while inflight:
-                wait_some()
-        finally:
-            # On a mid-stream error, drop references to outstanding futures
-            # and unlink their arena segments (attached workers keep their
-            # mappings until they evict them; the kernel reclaims the memory
-            # with the last detach).  The pool itself stays usable for
-            # subsequent queries.
-            inflight.clear()
-            stream_chunk_payloads.clear()
-            while stream_segments:
-                _, leftover = stream_segments.popitem()
-                leftover.unlink()
-            while stream_resources:
-                _, leftover_key = stream_resources.popitem()
-                queue.discard_resource(leftover_key)
+                flush()
+            dispatch.drain()
 
-        if done_at and first_result_seconds is None:
-            first_result_seconds = min(done_at) - start
-        self.paths_analyzed += path_count
-        results.sort(key=lambda item: item[0])
-        contributions: list[PathContribution] = []
-        for _, chunk_contributions in results:
-            contributions.extend(chunk_contributions)
+        contributions = _gathered(dispatch.results)
         if contribution_sink is not None:
             contribution_sink.extend(contributions)
         if report is not None:
             report.path_count += path_count
             report.truncated_paths += sum(int(c.truncated) for c in contributions)
-            if first_result_seconds is not None:
-                report.first_result_seconds = first_result_seconds
+            if dispatch.done_at:
+                report.first_result_seconds = min(dispatch.done_at) - start
             report.peak_path_buffer = max(report.peak_path_buffer, self.peak_path_buffer)
         return reduce_contributions(contributions, target_tuple, report)
+
+
+# ----------------------------------------------------------------------
+# The chunk dispatcher
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ChunkJob:
+    """One unit of dispatch: a selection of paths analysed under one options value.
+
+    ``paths`` is the sequence the selection indexes: a compiled program's
+    whole path set, whose cached table, arena segment and queue resource
+    serve the job (``execution`` is set), or one streamed chunk, which
+    carries its own paths (``execution`` is ``None``).  The selection is
+    ``[start, stop)``, or the explicit ``indices`` list when given.
+    """
+
+    index: int
+    paths: Sequence[SymbolicPath]
+    start: int
+    stop: int
+    options: AnalysisOptions
+    specs: tuple[AnalyzerSpec, ...]
+    indices: Optional[tuple[int, ...]] = None
+    execution: Optional[SymbolicExecutionResult] = None
+
+    def selected(self) -> tuple[SymbolicPath, ...]:
+        """The job's paths as objects (pickled payloads and the ladder)."""
+        if self.indices is not None:
+            return tuple(self.paths[index] for index in self.indices)
+        return tuple(self.paths[self.start : self.stop])
+
+    @property
+    def size(self) -> int:
+        return len(self.indices) if self.indices is not None else self.stop - self.start
+
+
+class _Dispatch:
+    """One query's chunk jobs on one executor: submit, collect, degrade.
+
+    :meth:`submit` sends a job to the executor's backend — one private step
+    per backend: in-process (serial, thread, and ``inline`` runs of work
+    too small to fan out) over the compiled program's own table, a process
+    pool with an :class:`ArenaChunkRef` or a pickled :class:`ChunkPayload`,
+    or a socket work-queue job.  :meth:`wait_some` / :meth:`drain` collect
+    the futures.  ``results`` gathers ``(index, contributions)`` pairs in
+    completion order; callers sort them by job index, so merged records
+    never depend on timing.  Used as a context manager, it releases the
+    per-chunk resources (streamed arena segments, queue resources) of jobs
+    still in flight when the query fails.
+
+    A socket job that runs out of attempts and a queue that stays
+    workerless past ``io_timeout`` both end in :meth:`_degrade`, the one
+    home of the socket → local process → serial ladder.
+    """
+
+    def __init__(
+        self,
+        executor: ParallelAnalysisExecutor,
+        targets: tuple[Interval, ...],
+        options: AnalysisOptions,
+        inline: bool = False,
+    ) -> None:
+        self.executor = executor
+        self.targets = targets
+        kind = "serial" if inline else executor.kind
+        self.pool = executor._ensure_pool() if kind in ("thread", "process") else None
+        self.queue = executor._ensure_queue() if kind == "socket" else None
+        #: The socket tier's "job lost" error; pool futures raise only
+        #: worker exceptions, which always propagate.
+        self._lost: tuple = ()
+        if self.queue is not None:
+            from ..service.protocol import WorkerLost
+
+            self._lost = (WorkerLost,)
+        #: Absolute deadline derived from ``options.time_budget``, shared by
+        #: every socket job of the query.
+        self.deadline = (
+            time.monotonic() + options.time_budget if options.time_budget is not None else None
+        )
+        #: Called after every batch of results lands (the streamed
+        #: first-bound hook).
+        self.on_result: Optional[Callable[[], None]] = None
+        self.inflight: dict[concurrent.futures.Future, _ChunkJob] = {}
+        self.releases: dict[concurrent.futures.Future, Callable[[], None]] = {}
+        self.results: list[tuple[int, list[PathContribution]]] = []
+        #: Completion timestamps, recorded by done-callbacks the moment a
+        #: worker finishes (collecting a result later would overstate
+        #: time-to-first-bound when the in-flight cap is never reached).
+        self.done_at: list[float] = []
+        #: Set once the ladder fires: later jobs skip the dead socket tier.
+        self.socket_dead = False
+        self._workerless_since: Optional[float] = None
+
+    def __enter__(self) -> "_Dispatch":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # On an error, drop the outstanding futures and release their
+        # per-chunk resources (attached workers keep their mappings until
+        # they evict them; the kernel reclaims the memory with the last
+        # detach).  The pool itself stays usable for later queries.
+        self.inflight.clear()
+        while self.releases:
+            _, release = self.releases.popitem()
+            release()
+
+    # -- submit --------------------------------------------------------
+    def submit(self, job: _ChunkJob) -> None:
+        executor = self.executor
+        executor.chunks_dispatched += 1
+        executor.paths_analyzed += job.size
+        if self.queue is not None:
+            if self.socket_dead:
+                self._degrade([job], "socket backend previously lost")
+            else:
+                self._track(job, *self._submit_socket(job))
+        elif self.pool is None:
+            result = self._run_in_process(job, self._table(job))
+            self.done_at.append(time.perf_counter())
+            self._deliver([result])
+        elif executor.kind == "thread":
+            self._track(job, self.pool.submit(self._run_in_process, job, self._table(job)), None)
+        else:
+            self._track(job, *(self._submit_arena(job) or self._submit_pickle(job)))
+
+    @staticmethod
+    def _table(job: _ChunkJob):
+        # Resolved in the parent, so thread workers never race to build it.
+        return job.execution.table() if job.execution is not None else None
+
+    def _run_in_process(self, job: _ChunkJob, table) -> tuple[int, list[PathContribution]]:
+        """The in-process step: the compiled program's own table, shared with
+        every other query on it (including its per-table memos), or a streamed
+        chunk's direct path references.  Nothing is interned, pickled or
+        published."""
+        analyzers = resolve_analyzers(job.options)
+        if table is None:
+            return job.index, _analyze_paths_resolved(job.paths, self.targets, job.options, analyzers)
+        return job.index, analyze_table_slice(
+            table, job.start, job.stop, self.targets, job.options, analyzers,
+            paths=job.paths, indices=job.indices,
+        )
+
+    def _submit_arena(self, job: _ChunkJob):
+        """Process step, arena transport: a tiny index-range reference into a
+        shared-memory table (``None`` when the transport is unavailable)."""
+        executor = self.executor
+        if job.options.effective_transport != "arena" or executor._arena_degraded:
+            return None
+        release = None
+        if job.execution is not None:
+            # Written (or cache hit) once per path set, the context once per
+            # query shape.
+            segment = executor._arena_for(job.execution)
+            context = (
+                executor._context_for(self.targets, job.options, job.specs)
+                if segment is not None else None
+            )
+        else:
+            # A streamed chunk publishes its own short-lived segment.
+            if not shared_memory_available():
+                return None
+            context = executor._context_for(self.targets, job.options, job.specs)
+            segment = create_arena_segment(job.paths) if context is not None else None
+            if segment is None:
+                executor._arena_degraded = True  # degrade once, stay degraded
+            else:
+                release = segment.unlink
+        if segment is None or context is None:
+            return None
+        ref = ArenaChunkRef(
+            index=job.index,
+            segment=segment.name,
+            nbytes=segment.nbytes,
+            start=job.start,
+            stop=job.stop,
+            context=context.name,
+            indices=job.indices,
+        )
+        return self.pool.submit(analyze_arena_chunk, ref), release
+
+    def _submit_pickle(self, job: _ChunkJob):
+        """Process step, pickle transport: the paths as an interned object graph.
+
+        Each job interns against a fresh memo: pickle memoises per payload,
+        so a shared memo would not shrink payloads, it would only retain
+        every unique expression of the query in the parent.
+        """
+        payload = ChunkPayload(
+            index=job.index,
+            paths=intern_paths(job.selected(), {}),
+            targets=self.targets,
+            options=job.options,
+            specs=job.specs,
+        )
+        return self.pool.submit(analyze_chunk, payload), None
+
+    def _submit_socket(self, job: _ChunkJob):
+        """Socket step: an index job against content-addressed resources."""
+        executor, queue = self.executor, self.queue
+        release = None
+        if job.execution is not None:
+            table = executor._socket_table_key(job.execution, queue)
+        else:
+            # A streamed chunk registers its own small table image.
+            from ..service.protocol import hash_bytes
+
+            image = encode_paths(job.paths)
+            table = hash_bytes(image)
+            queue.add_resource(table, image, "table")
+            release = functools.partial(queue.discard_resource, table)
+        context = executor._socket_context_key(queue, self.targets, job.options, job.specs)
+        future = queue.submit_chunk(
+            index=job.index,
+            table=table,
+            start=job.start,
+            stop=job.stop,
+            context=context,
+            timeout=job.options.job_timeout,
+            retries=job.options.job_retries,
+            indices=job.indices,
+            deadline=self.deadline,
+        )
+        return future, release
+
+    def _track(self, job: _ChunkJob, future, release) -> None:
+        self.inflight[future] = job
+        if release is not None:
+            self.releases[future] = release
+        future.add_done_callback(lambda _: self.done_at.append(time.perf_counter()))
+
+    def _deliver(self, results: list) -> None:
+        if results:
+            self.results.extend(results)
+            if self.on_result is not None:
+                self.on_result()
+
+    # -- collect -------------------------------------------------------
+    def drain(self) -> None:
+        while self.inflight:
+            self.wait_some()
+
+    def wait_some(self) -> None:
+        """Collect at least one in-flight job.
+
+        Pool futures always complete, but a socket job's timeout only arms
+        once a worker picks it up, so a queue that has lost every worker
+        would pend forever: the socket wait polls, grants a workerless queue
+        ``io_timeout`` seconds of reconnect grace (workers may be
+        mid-reconnect), then strands everything in flight down the ladder.
+        """
+        while self.inflight:
+            done, _ = concurrent.futures.wait(
+                tuple(self.inflight),
+                timeout=0.25 if self.queue is not None else None,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            if done:
+                self._workerless_since = None
+                for future in done:
+                    if future in self.inflight:  # not stranded by an earlier collect
+                        self._collect(future)
+                return
+            if self.queue.worker_count() > 0:
+                self._workerless_since = None
+                continue
+            now = time.monotonic()
+            if self._workerless_since is None:
+                self._workerless_since = now
+            elif now - self._workerless_since >= self.executor.io_timeout:
+                self._degrade(
+                    [],
+                    f"work queue has had no connected workers for "
+                    f"{self.executor.io_timeout:.1f}s",
+                )
+                return
+
+    def _collect(self, future: concurrent.futures.Future) -> None:
+        job = self.inflight.pop(future)
+        release = self.releases.pop(future, None)
+        try:
+            result = future.result()  # re-raises worker exceptions
+        except self._lost as error:
+            # The socket tier is out of attempts (or out of workers).
+            self._degrade([job], str(error))
+            return
+        finally:
+            if release is not None:
+                release()
+        self._deliver([result])
+
+    def _degrade(self, lost: list[_ChunkJob], reason: str) -> None:
+        """The degradation ladder: finish the socket backend's work locally.
+
+        ``lost`` joins every job still in flight: finished ones are
+        salvaged, the rest are cancelled and re-run on the lazily created
+        local process pool — serially when that pool is broken too — and
+        the rest of the query skips the socket tier.  Every rung runs the
+        same chunk body (:func:`analyze_chunk`) and results merge in
+        canonical order, so a degraded query's bounds are **bit-identical**
+        to a fault-free run; only latency suffers.
+        """
+        self.socket_dead = True
+        leftovers = list(lost)
+        results = []
+        for future, job in list(self.inflight.items()):
+            del self.inflight[future]
+            release = self.releases.pop(future, None)
+            future.cancel()
+            if future.done() and not future.cancelled() and future.exception() is None:
+                results.append(future.result())
+            else:
+                leftovers.append(job)
+            if release is not None:
+                release()
+        if leftovers:
+            executor = self.executor
+            warnings.warn(
+                f"socket backend degraded ({reason}); re-dispatching "
+                f"{len(leftovers)} chunk(s) on the local process pool "
+                "(falling back to serial if that fails too) — bounds are "
+                "unaffected, only latency",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            executor.degraded_chunks += len(leftovers)
+            payloads = [
+                ChunkPayload(job.index, job.selected(), self.targets, job.options, job.specs)
+                for job in leftovers
+            ]
+            local = None
+            pool = executor._ensure_fallback_pool()
+            if pool is not None:
+                try:
+                    futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
+                    local = [future.result() for future in futures]
+                    executor.degraded_to = executor.degraded_to or "process"
+                except Exception:  # noqa: BLE001 - broken pool: take the last rung
+                    local = None
+            if local is None:
+                executor.degraded_to = "serial"
+                local = [analyze_chunk(payload) for payload in payloads]
+            results.extend(local)
+        self._deliver(results)

@@ -301,6 +301,12 @@ class Polytope:
         """
         if self.dimension == 0:
             return Interval.point(0.0) if self.is_empty() else Interval.point(1.0)
+        rows = _well_scaled(self.a, self.b)
+        if rows is None:
+            return Interval.point(0.0)
+        return (self if rows[0] is self.a else Polytope(*rows))._volume_bounds()
+
+    def _volume_bounds(self) -> Interval:
         center_radius = self.chebyshev_center()
         if center_radius is None:
             return Interval.point(0.0)
@@ -346,6 +352,37 @@ class Polytope:
                 return math.inf
             volume *= bound.width
         return volume
+
+
+def _well_scaled(a: np.ndarray, b: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The same point set without rows Qhull and the LPs cannot digest.
+
+    An all-zero row ``0 ≤ b`` holds everywhere (dropped) or nowhere
+    (``None``: the polytope is empty).  A row whose largest coefficient is
+    subnormal is multiplied, with its right-hand side, by the exact power of
+    two that makes that coefficient normal — the solvers would otherwise
+    read it as ``0 ≤ b`` — which keeps every point of the set.  (A row whose
+    right-hand side would overflow stays as it is.)  Returns ``a`` and ``b``
+    themselves when every row is regular, so regular polytopes keep their
+    exact bytes and cache keys.
+    """
+    scale = np.max(np.abs(a), axis=1)
+    irregular = scale < np.finfo(float).tiny
+    zero = scale == 0.0
+    if not irregular.any() or zero.all():
+        return a, b
+    if np.any(b[zero] < 0.0):
+        return None
+    rows = np.flatnonzero(irregular & ~zero)
+    _, exponents = np.frexp(scale[rows])
+    with np.errstate(over="ignore"):
+        scaled_b = np.ldexp(b[rows], -exponents)
+    finite = np.isfinite(scaled_b)
+    rows, exponents = rows[finite], exponents[finite]
+    a, b = a.copy(), b.copy()
+    a[rows] = np.ldexp(a[rows], -exponents[:, None])
+    b[rows] = scaled_b[finite]
+    return a[~zero], b[~zero]
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ __all__ = [
     "pedestrian_walk_fixpoint",
     "geometric_program",
     "random_spcf_program",
+    "force_scalar_sweeps",
 ]
 
 
@@ -151,3 +152,24 @@ def random_spcf_program(
         else:
             body = b.seq(entry[1], body)
     return body
+
+
+def force_scalar_sweeps(monkeypatch) -> None:
+    """Send every box grid and score-weight sweep down its scalar loop.
+
+    The vectorised sweeps are performance paths with a scalar escape hatch
+    for expressions they cannot lift: the box analyser's per-cell loop and
+    the linear analyser's per-combination weights.  Patching the sweeps to
+    report "unsupported" makes every path take that hatch — the reference
+    the sweeps must reproduce bit for bit.  Only in-process analyses see
+    the patch, so callers pin a serial executor.
+    """
+    from repro.analysis import box_analyzer, linear_analyzer
+    from repro.analysis.vectorize import ScalarFallback
+
+    def unsupported(*args, **kwargs):
+        raise ScalarFallback
+
+    monkeypatch.setattr(box_analyzer, "_box_program", lambda table, index: None)
+    monkeypatch.setattr(box_analyzer, "_analyze_path_boxes_vectorized", unsupported)
+    monkeypatch.setattr(linear_analyzer, "_vectorized_factors", lambda *args, **kwargs: None)

@@ -555,3 +555,43 @@ class TestColumnarEndToEnd:
         )
         with Model(model.term, options) as candidate:
             assert_bits_equal(expected, candidate.bounds(list(_TARGETS)))
+
+
+# ----------------------------------------------------------------------
+# The default serial query runs the columnar chunk body
+# ----------------------------------------------------------------------
+
+
+class TestSerialDefaultRoute:
+    def test_default_query_sweeps_the_table(self, monkeypatch):
+        """A default ``Model`` query never calls the per-path ``analyze``.
+
+        It runs the same chunk body as every pool worker over the compiled
+        program's table, so a warm repeat is served by the table's
+        scratch-space ``GeometryCache``.
+        """
+        from repro.analysis.linear_analyzer import _TABLE_SCRATCH_KEY
+        from repro.models import pedestrian_program
+
+        def per_path(self, *args, **kwargs):
+            raise AssertionError("per-path analyze() on the default serial route")
+
+        monkeypatch.setattr(LinearPathAnalyzer, "analyze", per_path)
+        monkeypatch.setattr(BoxPathAnalyzer, "analyze", per_path)
+        options = AnalysisOptions(
+            max_fixpoint_depth=3, workers=1, executor=None, stream=False, refine="off"
+        )
+        assert options.effective_executor == "serial"
+        model = Model(pedestrian_program(), options)
+        targets = [Interval(0.0, 1.0), Interval.reals()]
+        cold = model.bounds(targets)
+        assert cold[1].upper > 0.0
+
+        table = model.compile().execution.table()
+        geometry = table.scratch[_TABLE_SCRATCH_KEY]["geometry"]
+        before = geometry.stats()
+        warm = model.bounds(targets)
+        after = geometry.stats()
+        assert_bits_equal(cold, warm)
+        assert after["volume_hits"] > before["volume_hits"]
+        assert after["volume_misses"] == before["volume_misses"]

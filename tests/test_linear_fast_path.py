@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisOptions, Model, analyze_path_linear
+from repro.analysis import linear_analyzer
 from repro.analysis.linear_analyzer import (
     GeometryCache,
     _integrate,
@@ -117,14 +118,19 @@ class TestIntegrateMatchesReference:
             )
             assert warm == batched or (math.isnan(warm) and math.isnan(batched))
 
-    def test_scalar_fallback_route_matches(self):
-        # vectorized_scores=False forces the scalar per-combination weights
-        # inside _integrate; the skips differ but the floats may not.
+    def test_scalar_fallback_route_matches(self, monkeypatch):
+        # The second pass forces the scalar per-combination weights inside
+        # _integrate (the sweep reports "unsupported"); the skips differ but
+        # the floats may not.
         polytope = Polytope.from_box([Interval(0.0, 1.0)] * 2)
         atoms = []
         templates = [decompose_score(_score_exprs(0.0, 1.0, 1.0)[0][0], atoms)]
+        options = AnalysisOptions(score_splits=4)
         for vectorized in (True, False):
-            options = AnalysisOptions(score_splits=4, vectorized_scores=vectorized)
+            if not vectorized:
+                monkeypatch.setattr(
+                    linear_analyzer, "_vectorized_factors", lambda *args, **kwargs: None
+                )
             for is_lower in (True, False):
                 assert _integrate(
                     polytope, templates, list(atoms), 1.0, options, GeometryCache(), is_lower

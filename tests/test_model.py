@@ -13,9 +13,6 @@ from repro.analysis import (
     Model,
     UnknownAnalyzerError,
     available_analyzers,
-    bound_denotation,
-    bound_posterior_histogram,
-    bound_query,
     get_analyzer,
     register_analyzer,
     unregister_analyzer,
@@ -25,7 +22,6 @@ from repro.exact import ExactDistribution
 from repro.inference import HMCResult, ImportanceResult, MHResult
 from repro.intervals import Interval
 from repro.lang import builder as b
-from repro.models import pedestrian_program
 
 from helpers import geometric_program, simple_observe_model
 
@@ -261,35 +257,3 @@ class TestUnifiedBaselines:
         estimate = model.estimate(Interval(0.0, 0.25))
         assert isinstance(estimate, ProbabilityEstimate)
         assert estimate.lower <= 0.25 <= estimate.upper
-
-
-class TestDeprecatedShims:
-    """The free functions survive as thin delegating shims (Example 5.2 parity)."""
-
-    def test_bound_query_matches_model_on_example_52(self):
-        # The paper's Example 5.2 pedestrian model, at a reduced depth so the
-        # parity check stays fast.
-        options = AnalysisOptions(max_fixpoint_depth=3, score_splits=8)
-        program = pedestrian_program()
-        target = Interval(0.0, 1.0)
-        new = Model(program, options).probability(target)
-        with pytest.deprecated_call():
-            old = bound_query(program, target, options)
-        assert old.lower == new.lower
-        assert old.upper == new.upper
-        assert old.normalising_constant.lower == new.normalising_constant.lower
-        assert old.normalising_constant.upper == new.normalising_constant.upper
-
-    def test_bound_denotation_shim(self):
-        with pytest.deprecated_call():
-            bounds = bound_denotation(b.sample(), [Interval(0.0, 0.5)])
-        assert bounds[0].lower == pytest.approx(0.5)
-        assert bounds[0].upper == pytest.approx(0.5)
-
-    def test_bound_posterior_histogram_shim(self):
-        with pytest.deprecated_call():
-            histogram = bound_posterior_histogram(b.sample(), 0.0, 1.0, 4)
-        new = Model(b.sample()).histogram(0.0, 1.0, 4)
-        assert histogram.z_lower == new.z_lower
-        assert histogram.z_upper == new.z_upper
-        assert [bb.lower for bb in histogram.buckets] == [bb.lower for bb in new.buckets]

@@ -38,7 +38,7 @@ from repro.intervals import Interval
 from repro.lang import builder as b
 from repro.symbolic import ExecutionLimits, PathExplosionError, symbolic_paths
 
-from helpers import geometric_program, simple_observe_model
+from helpers import force_scalar_sweeps, geometric_program, simple_observe_model
 
 
 def nonlinear_model():
@@ -126,13 +126,12 @@ class TestSerialParallelEquivalence:
         finally:
             model.close()
 
-    def test_vectorized_and_scalar_boxes_agree(self, serial_baselines):
+    def test_vectorized_and_scalar_boxes_agree(self, serial_baselines, monkeypatch):
         """The vectorised sweep is a performance path, not a semantic one."""
         model, _ = serial_baselines["nonlinear"]
         vec = model.bounds(_TARGETS, model.options.with_updates(analyzers=("box",)))
-        scalar = model.bounds(
-            _TARGETS, model.options.with_updates(analyzers=("box",), vectorized_boxes=False)
-        )
+        force_scalar_sweeps(monkeypatch)
+        scalar = model.bounds(_TARGETS, model.options.with_updates(analyzers=("box",)))
         for a, b_ in zip(vec, scalar):
             assert a.lower == pytest.approx(b_.lower, rel=1e-12, abs=1e-15)
             assert a.upper == pytest.approx(b_.upper, rel=1e-12, abs=1e-15)

@@ -180,6 +180,44 @@ class TestClosedFormVolumes:
         assert volume.is_point
         assert volume.lo == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("dimension", [2, 3, 5])
+    @pytest.mark.parametrize("rhs,expected", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_zero_row(self, dimension, rhs, expected):
+        """``0·x ≤ 0`` holds everywhere (the cube keeps volume 1); ``0·x ≤ -1``
+        holds nowhere (volume 0)."""
+        cube = unit_cube(dimension).add_constraints([[0.0] * dimension], [rhs])
+        volume = cube.volume_bounds()
+        assert volume.is_point
+        assert volume.lo == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 5])
+    def test_subnormal_row_keeps_its_cut(self, dimension):
+        """``1e-310·Σx ≤ 0`` leaves only the origin of the cube: volume 0.
+
+        Dropping the subnormal row would report the whole cube instead, so
+        the row must be rescaled, not discarded."""
+        cube = unit_cube(dimension).add_constraints([[1e-310] * dimension], [0.0])
+        volume = cube.volume_bounds()
+        assert volume.is_point
+        assert volume.lo == pytest.approx(0.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 3, 5])
+    def test_subnormal_halving_row(self, dimension):
+        """``2^-1030·Σx ≤ 2^-1030·d/2`` cuts the cube in half, like ``Σx ≤ d/2``."""
+        tiny = 2.0**-1030
+        cube = unit_cube(dimension).add_constraints([[tiny] * dimension], [tiny * dimension / 2])
+        volume = cube.volume_bounds()
+        assert volume.is_point
+        assert volume.lo == pytest.approx(0.5, rel=1e-12, abs=0.0)
+
+    def test_regular_rows_keep_their_bytes(self):
+        """Only zero or subnormal rows are touched; cache keys never move."""
+        from repro.polytope.polytope import _well_scaled
+
+        cube = unit_cube(3).add_constraints([[1.0, 2.0, 3.0]], [2.5])
+        a, b = _well_scaled(cube.a, cube.b)
+        assert a is cube.a and b is cube.b
+
     def test_repeated_degenerate_vertex(self):
         """A pedestrian chunk polytope whose degenerate vertex Qhull's
         halfspace intersection reports three times (a tetrahedron with six

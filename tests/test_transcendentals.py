@@ -26,6 +26,8 @@ from repro.intervals import Interval, get_primitive
 from repro.lang import builder as b
 from repro.symbolic import SPrim, SVar
 
+from helpers import force_scalar_sweeps
+
 _REL_TOL = 1e-12
 
 _ENDPOINTS = st.floats(
@@ -102,27 +104,28 @@ def _exp_score_model():
     )
 
 
+def _scalar_bounds(monkeypatch, targets):
+    """Bounds of the exp-score model with every sweep on its scalar loop."""
+    force_scalar_sweeps(monkeypatch)
+    options = AnalysisOptions(workers=1, executor="serial")
+    return Model(_exp_score_model(), options).bounds(targets)
+
+
 class TestEndToEnd:
     _TARGETS = [Interval(0.0, 1.0), Interval.reals()]
 
-    def test_knob_off_is_bit_identical_to_scalar(self):
-        scalar = Model(
-            _exp_score_model(),
-            AnalysisOptions(vectorized_boxes=False, vectorized_scores=False),
-        ).bounds(self._TARGETS)
+    def test_knob_off_is_bit_identical_to_scalar(self, monkeypatch):
         vectorised = Model(_exp_score_model(), AnalysisOptions()).bounds(self._TARGETS)
+        scalar = _scalar_bounds(monkeypatch, self._TARGETS)
         for a, b_ in zip(scalar, vectorised):
             assert a.lower == b_.lower
             assert a.upper == b_.upper
 
-    def test_knob_on_stays_within_tolerance(self):
-        scalar = Model(
-            _exp_score_model(),
-            AnalysisOptions(vectorized_boxes=False, vectorized_scores=False),
-        ).bounds(self._TARGETS)
+    def test_knob_on_stays_within_tolerance(self, monkeypatch):
         fast = Model(
             _exp_score_model(), AnalysisOptions(vectorized_transcendentals=True)
         ).bounds(self._TARGETS)
+        scalar = _scalar_bounds(monkeypatch, self._TARGETS)
         for a, b_ in zip(scalar, fast):
             assert b_.lower == pytest.approx(a.lower, rel=1e-9)
             assert b_.upper == pytest.approx(a.upper, rel=1e-9)
